@@ -20,7 +20,7 @@
 //     configurable idle TTL. Evicted state moves to a per-shard archive
 //     (linkID → encoded state, no stamp), so a link that comes back after
 //     an idle period resumes exactly where it left off — eviction is
-//     invisible to the protocol, it only sheds hot-map bookkeeping.
+//     invisible to the protocol, it only sheds hot-table bookkeeping.
 //   - With Config.Cold the archive becomes a small bounded front of two
 //     generations: recently evicted links restore from RAM, and when the
 //     current generation fills, the older one is spilled wholesale to the
@@ -37,6 +37,10 @@
 //     its shard visits out across cores, byte-identically to the
 //     sequential executor (per-link order is per-shard order, and shards
 //     are independent).
+//   - Each shard's hot links live in an open-addressed table (index.go)
+//     probed with the same bitutil.Mix64 hash that picked the shard, so a
+//     batch hashes each op once and a hit is updated in place in its
+//     24-byte slot.
 //   - Within a shard visit, contiguous ops for one link are serviced as a
 //     run: one lookup and one state materialization for the run, and
 //     wide-state algorithms that implement ctl.InPlace (SampleRate) are
@@ -47,6 +51,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +76,8 @@ type Config struct {
 	// Spec's StateLen — the store slab-allocates at that width — and all
 	// controllers of one algorithm must be interchangeable up to state.
 	NewController func(ctl.Algo) ctl.Controller
-	// TTL is the idle time after which a link is evicted from the hot map
-	// (0 disables eviction).
+	// TTL is the idle time after which a link is evicted from the hot
+	// table (0 disables eviction).
 	TTL time.Duration
 	// DropOnEvict discards evicted state instead of archiving it: a
 	// returning link restarts from a fresh controller. Default false —
@@ -81,11 +86,11 @@ type Config struct {
 	// Clock returns the current time in nanoseconds (default
 	// time.Now().UnixNano; injectable for deterministic tests).
 	Clock func() int64
-	// ExpectedLinks pre-sizes each shard's hot map and (lazily, on first
+	// ExpectedLinks pre-sizes each shard's hot table and (lazily, on first
 	// use per algorithm) its state slabs for about this many links store-
 	// wide. Without it, growing a store to millions of links goes through
-	// O(log n) map rehashes and slab doublings, each a full copy under the
-	// shard lock — the batch_max_ns cold spikes. 0 starts small.
+	// O(log n) table doublings and slab doublings, each a full copy under
+	// the shard lock — the batch_max_ns cold spikes. 0 starts small.
 	ExpectedLinks int
 	// ExpectedLinksPerAlgo refines the slab reserve for stores serving a
 	// mix of algorithms: each algorithm's slabs reserve for about this
@@ -156,15 +161,16 @@ func (op *Op) feedback() ctl.Feedback {
 
 // ShardStats counts one shard's activity. Counters are cumulative.
 type ShardStats struct {
-	// Hits is the number of operations that found the link in the hot map.
+	// Hits is the number of operations that found the link in the hot
+	// table.
 	Hits uint64
 	// Creates is the number of links created fresh.
 	Creates uint64
 	// Restores is the number of links revived from the archive.
 	Restores uint64
-	// Evictions is the number of links moved out of the hot map by TTL.
+	// Evictions is the number of links moved out of the hot table by TTL.
 	Evictions uint64
-	// Live is the current hot-map size.
+	// Live is the current hot-table size.
 	Live int
 	// Archived is the current RAM-archive size (both front generations
 	// when a cold tier is attached).
@@ -239,12 +245,13 @@ const inlineState = 8
 // period — it cannot corrupt state.
 const tickShift = 20
 
-// entry is the hot-map value, deliberately 16 bytes: for algorithms
+// entry is the hot-table value, deliberately 16 bytes: for algorithms
 // whose encoded state fits inlineState bytes (SoftRate's 8), the state
-// lives directly in the entry — map bucket and state share a cache
-// line, exactly the memory shape of the SoftRate-only store this layer
-// grew from. Wider states live in the per-algorithm slab, and the slot
-// index is overlaid on the (then unused) state bytes.
+// lives directly in the entry, so the link ID, stamp and state share one
+// 24-byte table slot and a hit touches one cache line. Wider states live
+// in the per-algorithm slab, and the slab slot index is overlaid on the
+// (then unused) state bytes. algo is never ctl.AlgoDefault in a live
+// entry; the table uses that value to mark an empty slot.
 type entry struct {
 	state    [inlineState]byte // encoded state (w <= 8) or LE slab slot in [0:4)
 	lastUsed uint32            // ticks since the store epoch
@@ -323,12 +330,12 @@ type algoCounters struct {
 
 type shard struct {
 	mu sync.Mutex
-	// links is the hot map; archive the RAM tier of evicted state. With a
-	// cold tier, archive is the current front generation and archiveOld
+	// links is the hot table; archive the RAM tier of evicted state. With
+	// a cold tier, archive is the current front generation and archiveOld
 	// the previous one: a filled current generation rotates, spilling
 	// archiveOld to disk in one batch (archiveOld stays nil without a
 	// cold tier, and lookups of a nil map are free).
-	links      map[uint64]entry
+	links      index
 	archive    map[uint64]archived
 	archiveOld map[uint64]archived
 	// spillBuf/spillRecs are the rotation scratch: one flat byte buffer
@@ -353,7 +360,6 @@ type shard struct {
 	// serving cost.
 	inplace   []ctl.InPlace  // indexed by algo ID; nil when unsupported
 	perAlgo   []algoCounters // indexed by algo ID
-	smallBuf  [inlineState]byte
 	stats     ShardStats
 	lastSweep int64
 }
@@ -397,7 +403,8 @@ type Store struct {
 
 type batchScratch struct {
 	perShard [][]int32
-	shards   []int32 // shards touched by the current batch, in visit order
+	shards   []int32  // shards touched by the current batch, in visit order
+	hashes   []uint64 // bitutil.Mix64 of each op's link ID, in batch order
 }
 
 // New builds a Store.
@@ -459,7 +466,7 @@ func New(cfg Config) *Store {
 		// With a cold tier the archive is a bounded front: each shard
 		// holds two generations of genCap links, so the store-wide RAM
 		// budget is ColdFront regardless of population. Presize to the
-		// budget, not the (now meaningless) hot-map hint.
+		// budget, not the (now meaningless) hot-table hint.
 		front := cfg.ColdFront
 		if front <= 0 {
 			front = DefaultColdFront
@@ -471,10 +478,11 @@ func New(cfg Config) *Store {
 		archSize = st.genCap
 	}
 	st.shards = make([]shard, n)
+	shift := uint(bits.TrailingZeros(uint(n)))
 	for i := range st.shards {
-		st.shards[i].links = make(map[uint64]entry, perShard)
+		st.shards[i].links = newIndex(shift, perShard)
 		// Without a cold tier the archive only fills under TTL churn and
-		// rarely holds the whole population; an eighth of the hot-map hint
+		// rarely holds the whole population; an eighth of the hot-table hint
 		// avoids doubling the up-front footprint while still skipping the
 		// early rehashes. With one, it is presized to its generation cap.
 		st.shards[i].archive = make(map[uint64]archived, archSize)
@@ -507,14 +515,12 @@ func (st *Store) resolveAlgo(a ctl.Algo) ctl.Algo {
 	return st.defaultAlgo
 }
 
-// shardIndex mixes the link ID through the SplitMix64 finalizer so that
-// sequential IDs spread evenly across shards.
-func (st *Store) shardIndex(id uint64) int {
-	return int(bitutil.Mix64(id) & st.mask)
-}
-
-func (st *Store) shardFor(id uint64) *shard {
-	return &st.shards[st.shardIndex(id)]
+// shardFor mixes the link ID through the SplitMix64 finalizer so that
+// sequential IDs spread evenly across shards. It returns the shard and the
+// hash, whose bits above the shard mask place the link in its table.
+func (st *Store) shardFor(id uint64) (*shard, uint64) {
+	h := bitutil.Mix64(id)
+	return &st.shards[h&st.mask], h
 }
 
 // tickOf converts a clock reading to the entry timestamp unit.
@@ -542,7 +548,7 @@ func (sh *shard) scratchFor(st *Store, a ctl.Algo) ctl.Controller {
 	return c
 }
 
-// createLocked builds the entry for a link absent from the hot map:
+// createLocked builds the entry for a link absent from the hot table:
 // revived from either RAM-archive generation or the cold tier (keeping
 // its original algorithm), or created fresh with the op's. Caller holds
 // sh.mu.
@@ -635,37 +641,39 @@ func (sh *shard) coldRestoreLocked(st *Store, id uint64) (entry, bool) {
 }
 
 // applyShardLocked services a shard's slice of one batch: idxs index into
-// ops/out in batch order. Contiguous ops for the same link — the natural
-// shape when a sender batches several frames' feedback per station — are
-// serviced as one run: one map lookup, one TTL stamp, and one state
-// decode/encode for the whole run instead of one per op. Caller holds
-// sh.mu.
-func (sh *shard) applyShardLocked(st *Store, ops []Op, idxs []int32, out []int32, nowTick uint32) {
+// ops/out/hashes in batch order, hashes[i] being bitutil.Mix64 of
+// ops[i].LinkID. Contiguous ops for the same link — the natural shape when
+// a sender batches several frames' feedback per station — are serviced as
+// one run: one table lookup, one TTL stamp, and one state decode/encode
+// for the whole run instead of one per op. Caller holds sh.mu.
+func (sh *shard) applyShardLocked(st *Store, ops []Op, hashes []uint64, idxs []int32, out []int32, nowTick uint32) {
 	for k := 0; k < len(idxs); {
 		id := ops[idxs[k]].LinkID
 		j := k + 1
 		for j < len(idxs) && ops[idxs[j]].LinkID == id {
 			j++
 		}
-		sh.applyRunLocked(st, ops, idxs[k:j], out, nowTick)
+		sh.applyRunLocked(st, ops, idxs[k:j], hashes[idxs[k]], out, nowTick)
 		k = j
 	}
 }
 
-// applyRunLocked runs one link's consecutive ops against a shard. The
-// link's state is materialized once, every op of the run applied, and the
-// result written back once — for in-place-capable wide-state algorithms
-// (ctl.InPlace) it is never materialized at all and each op mutates the
-// slab slot directly. Caller holds sh.mu.
-func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, out []int32, nowTick uint32) {
+// applyRunLocked runs one link's consecutive ops against a shard; h is
+// bitutil.Mix64 of the link ID. The link is looked up once and its entry
+// updated in place in the table. Its state is materialized once, every op
+// of the run applied, and the result written back once — for
+// in-place-capable wide-state algorithms (ctl.InPlace) it is never
+// materialized at all and each op mutates the slab slot directly. Caller
+// holds sh.mu.
+func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, h uint64, out []int32, nowTick uint32) {
 	id := ops[run[0]].LinkID
 	// Hot path: the link exists and its algorithm is already bound, so
 	// the op's Algo field doesn't even need resolving.
-	e, ok := sh.links[id]
-	if ok {
+	e := sh.links.find(id, h)
+	if e != nil {
 		sh.stats.Hits += uint64(len(run))
 	} else {
-		e = sh.createLocked(st, id, st.resolveAlgo(ops[run[0]].Algo))
+		e = sh.links.insert(id, h, sh.createLocked(st, id, st.resolveAlgo(ops[run[0]].Algo)))
 		// Later ops of a creating run find the link hot, exactly as the
 		// op-at-a-time accounting would report.
 		sh.stats.Hits += uint64(len(run) - 1)
@@ -714,13 +722,10 @@ func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, out []int32, n
 			c.EncodeState(buf)
 		}
 	} else if w > 0 {
-		// Small-state interface path: bounce through the shard's scratch
-		// buffer rather than slicing e.state directly — a slice of a
-		// local escaping into an interface call would force the compiler
-		// to heap-allocate every entry, on every path of this function.
+		// Small-state interface path: the controller decodes from and
+		// encodes into the entry's inline bytes, in the table slot.
 		c := sh.scratchFor(st, e.algo)
-		buf := sh.smallBuf[:w]
-		copy(buf, e.state[:w])
+		buf := e.state[:w]
 		if err := c.DecodeState(buf); err != nil {
 			copy(buf, st.fresh[e.algo])
 			c.DecodeState(buf)
@@ -729,7 +734,6 @@ func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, out []int32, n
 			out[i] = int32(c.Apply(ops[i].feedback()))
 		}
 		c.EncodeState(buf)
-		copy(e.state[:w], buf)
 	} else {
 		c := sh.scratchFor(st, e.algo)
 		for _, i := range run {
@@ -737,12 +741,11 @@ func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, out []int32, n
 		}
 	}
 	e.lastUsed = nowTick
-	sh.links[id] = e
 }
 
 // archiveLocked moves one hot entry's state into the RAM archive's
 // current generation and frees its slab slot. Caller holds sh.mu and
-// deletes the entry from sh.links itself.
+// removes the entry from sh.links itself.
 func (sh *shard) archiveLocked(st *Store, id uint64, e entry) {
 	w := st.widths[e.algo]
 	if !st.cfg.DropOnEvict {
@@ -768,16 +771,20 @@ func (sh *shard) archiveLocked(st *Store, id uint64, e entry) {
 	sh.perAlgo[e.algo].live--
 }
 
-// sweepLocked evicts idle links. Caller holds sh.mu.
+// sweepLocked evicts idle links, walking the table in slot order so the
+// eviction order depends only on the op sequence. Caller holds sh.mu.
 func (sh *shard) sweepLocked(st *Store, now int64) int {
 	nowTick := st.tickOf(now)
 	evicted := 0
-	for id, e := range sh.links {
-		if nowTick-e.lastUsed >= st.ttlTicks { // wrapping age in ticks
-			sh.archiveLocked(st, id, e)
-			delete(sh.links, id)
+	for i := 0; i < len(sh.links.slots); {
+		s := &sh.links.slots[i]
+		if !s.empty() && nowTick-s.e.lastUsed >= st.ttlTicks { // wrapping age in ticks
+			sh.archiveLocked(st, s.id, s.e)
+			sh.links.removeAt(uint64(i))
 			evicted++
+			continue // a later entry of the cluster may have shifted into slot i
 		}
+		i++
 	}
 	sh.stats.Evictions += uint64(evicted)
 	sh.lastSweep = now
@@ -941,12 +948,12 @@ func (sh *shard) maybeSweepLocked(st *Store, now int64) {
 func (st *Store) Apply(op Op) int {
 	now := st.cfg.Clock()
 	nowTick := st.tickOf(now)
-	sh := st.shardFor(op.LinkID)
+	sh, h := st.shardFor(op.LinkID)
 	ops := [1]Op{op}
 	idx := [1]int32{0}
 	var out [1]int32
 	sh.mu.Lock()
-	sh.applyRunLocked(st, ops[:], idx[:], out[:], nowTick)
+	sh.applyRunLocked(st, ops[:], idx[:], h, out[:], nowTick)
 	sh.maybeSweepLocked(st, now)
 	sh.mu.Unlock()
 	return int(out[0])
@@ -995,8 +1002,14 @@ func (st *Store) ApplyBatchStats(ops []Op, out []int32, bs *BatchStats) []int32 
 	nowTick := st.tickOf(now)
 	scratch := st.scratchPool.Get().(*batchScratch)
 	touched := scratch.shards[:0]
+	if cap(scratch.hashes) < len(ops) {
+		scratch.hashes = make([]uint64, len(ops))
+	}
+	scratch.hashes = scratch.hashes[:len(ops)]
 	for i := range ops {
-		si := st.shardIndex(ops[i].LinkID)
+		h := bitutil.Mix64(ops[i].LinkID)
+		scratch.hashes[i] = h
+		si := h & st.mask
 		if len(scratch.perShard[si]) == 0 {
 			touched = append(touched, int32(si))
 		}
@@ -1029,7 +1042,7 @@ func (st *Store) ApplyBatchStats(ops []Op, out []int32, bs *BatchStats) []int32 
 func (st *Store) applyOneShard(ops []Op, out []int32, scratch *batchScratch, si int32, nowTick uint32, now int64) {
 	sh := &st.shards[si]
 	sh.mu.Lock()
-	sh.applyShardLocked(st, ops, scratch.perShard[si], out, nowTick)
+	sh.applyShardLocked(st, ops, scratch.hashes, scratch.perShard[si], out, nowTick)
 	sh.maybeSweepLocked(st, now)
 	sh.mu.Unlock()
 	scratch.perShard[si] = scratch.perShard[si][:0]
@@ -1072,10 +1085,10 @@ func (st *Store) applyShardsParallel(ops []Op, out []int32, scratch *batchScratc
 // state without touching its TTL stamp or creating it. The last result
 // reports whether the link exists (hot or archived).
 func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
-	sh := st.shardFor(id)
+	sh, h := st.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.links[id]; ok {
+	if e := sh.links.find(id, h); e != nil {
 		w := st.widths[e.algo]
 		out := make([]byte, w)
 		if w <= inlineState {
@@ -1127,11 +1140,13 @@ func (st *Store) SpillAll() (int, error) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		for id, e := range sh.links {
-			sh.archiveLocked(st, id, e)
-			sh.stats.Evictions++
-			delete(sh.links, id)
+		for k := range sh.links.slots {
+			if s := &sh.links.slots[k]; !s.empty() {
+				sh.archiveLocked(st, s.id, s.e)
+				sh.stats.Evictions++
+			}
 		}
+		sh.links.reset()
 		n := len(sh.archive) + len(sh.archiveOld)
 		err := sh.spillGenLocked(st, sh.archiveOld)
 		if err == nil {
@@ -1165,13 +1180,13 @@ func (st *Store) EvictIdle() int {
 	return total
 }
 
-// Len returns the number of links in the hot maps.
+// Len returns the number of links in the hot tables.
 func (st *Store) Len() int {
 	n := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		n += len(sh.links)
+		n += sh.links.n
 		sh.mu.Unlock()
 	}
 	return n
@@ -1186,7 +1201,7 @@ func (st *Store) Stats() Stats {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		s := sh.stats
-		s.Live = len(sh.links)
+		s.Live = sh.links.n
 		s.Archived = len(sh.archive) + len(sh.archiveOld)
 		for a := range sh.perAlgo {
 			c := &sh.perAlgo[a]
@@ -1238,7 +1253,7 @@ func (st *Store) PerShard() []ShardStats {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		out[i] = sh.stats
-		out[i].Live = len(sh.links)
+		out[i].Live = sh.links.n
 		out[i].Archived = len(sh.archive) + len(sh.archiveOld)
 		for a := range sh.perAlgo {
 			out[i].ArchivedBytes += sh.perAlgo[a].archivedBytes

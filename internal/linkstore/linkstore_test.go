@@ -395,3 +395,40 @@ func TestDefaultAlgoConfig(t *testing.T) {
 		t.Fatalf("CHARM state is %d bytes, want %d", len(state), spec.StateLen)
 	}
 }
+
+// TestWarmApplyBatchZeroAlloc pins the store layer's hot path at zero
+// allocations per batch once every link is hot: SoftRate with its state
+// inline in the table entry, and SampleRate applied in place in its slab.
+func TestWarmApplyBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		algo ctl.Algo
+	}{{"softrate-inline", ctl.AlgoSoftRate}, {"samplerate-inslab", ctl.AlgoSampleRate}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const nLinks = 2048
+			st := New(Config{Shards: 16, ExpectedLinks: nLinks})
+			all := benchOps(tc.algo, nLinks)
+			out := make([]int32, len(all[0]))
+			for _, ops := range all {
+				st.ApplyBatch(ops, out) // warm: create every link
+			}
+			if tc.algo == ctl.AlgoSampleRate && st.shards[0].inplace[tc.algo] == nil {
+				t.Fatal("SampleRate is not on the in-slab path")
+			}
+			before := st.Stats()
+			k := 0
+			if n := testing.AllocsPerRun(50, func() {
+				st.ApplyBatch(all[k%len(all)], out)
+				k++
+			}); n != 0 {
+				t.Fatalf("warm ApplyBatch allocated %.1f times per batch, want 0", n)
+			}
+			if after := st.Stats(); after.Creates != before.Creates || after.Hits == before.Hits {
+				t.Fatalf("timed batches were not all hits: %+v then %+v", before.ShardStats, after.ShardStats)
+			}
+		})
+	}
+}

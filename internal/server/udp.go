@@ -44,11 +44,6 @@ import (
 // within this interval even if no datagram ever arrives.
 const udpPollInterval = 100 * time.Millisecond
 
-// aLongTimeAgo is an expired deadline: reads with it return immediately
-// with a timeout once the socket buffer is empty (the non-blocking drain
-// phase of the burst loop).
-var aLongTimeAgo = time.Unix(1, 0)
-
 // ServeUDP serves the datagram transport on conn until Close or Drain.
 // It may run concurrently with Serve (TCP) and other ServeUDP calls on
 // other sockets; they all share one store and one lifecycle (the
@@ -90,6 +85,10 @@ func (s *Server) ServeUDP(conn *net.UDPConn) error {
 		s.tcp.wg.Done()
 	}()
 
+	drain, err := newUDPDrainer(conn)
+	if err != nil {
+		return err
+	}
 	eng := newBurstEngine(s, &s.udp)
 	slab := make([]byte, BurstSize*MaxDatagram)
 	var addrs [BurstSize]netip.AddrPort
@@ -124,11 +123,10 @@ func (s *Server) ServeUDP(conn *net.UDPConn) error {
 		sizes[0], addrs[0] = n, addr
 		count := 1
 		// Drain phase: everything already queued, without blocking.
-		conn.SetReadDeadline(aLongTimeAgo)
 		for count < BurstSize {
-			n, addr, err := conn.ReadFromUDPAddrPort(slab[count*MaxDatagram : (count+1)*MaxDatagram])
-			if err != nil {
-				break // empty buffer (timeout) or a transient error: burst done
+			n, addr, ok := drain.next(slab[count*MaxDatagram : (count+1)*MaxDatagram])
+			if !ok {
+				break // empty buffer or a transient error: burst done
 			}
 			sizes[count], addrs[count] = n, addr
 			count++

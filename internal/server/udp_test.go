@@ -128,11 +128,6 @@ func TestUDPWindowedMatchesInProcess(t *testing.T) {
 	if st := cli.Stats(); st.Answered != 30*window || st.Timeouts != 0 {
 		t.Fatalf("client stats %+v, want %d answered, 0 timeouts", st, 30*window)
 	}
-	// The window genuinely put multiple datagrams in flight, so at least
-	// some bursts must have drained more than one.
-	if s := remote.Status(); s.UDP.Bursts == s.UDP.DatagramsRx {
-		t.Logf("note: every burst had size 1 (%d bursts); timing-dependent, not a failure", s.UDP.Bursts)
-	}
 }
 
 // TestUDPClientLossSemantics drives the client against a hand-rolled
