@@ -21,12 +21,15 @@ import "math/bits"
 //
 // Jobs are grouped by trellis length (frames with equal step counts run in
 // lockstep; mixed-length batches form one group per length) and each group
-// is capped at maxBatchLanes lanes.
+// is capped at maxBatchLanes lanes. On AVX2/AVX-512 hardware a LogMAP group
+// is padded to a multiple of the kernel width (groupKernel), so every lane
+// runs on the vector kernels; the scalar walk remains for MaxLog, for
+// non-AVX2 hardware, and for the rare lanes a kernel flags for fixup.
 
 const maxBatchLanes = 64
 
-// appBlockT is how many trellis steps the backward sweep materializes (and
-// the APP block kernel interleaves) at a time.
+// appBlockT is how many trellis steps the APP block kernel interleaves,
+// and so how many rows each post-crossing block buffer holds (plus one).
 const appBlockT = 8
 
 // BatchJob describes one frame's decode within a batch: the rate-1/2
@@ -57,8 +60,7 @@ type BatchWorkspace struct {
 	Quantized bool
 
 	llrP   []float64 // [2*steps][lanes] transposed channel LLRs
-	alphaP []float64 // [(steps+1)*numStates][lanes] forward plane
-	betaP  []float64 // [(steps+1)*numStates][lanes] backward plane
+	planes []float64 // α and β rows, [numStates][lanes] each (see decodeBCJRGroup)
 	bmP    []float64 // [8][lanes] fwd+bwd per-step branch metric rows
 	bmBlk  []float64 // [appBlockT*4][lanes] APP block branch metric rows
 	numBlk []float64 // [appBlockT][lanes] APP accumulators, input 1
@@ -86,6 +88,7 @@ type BatchWorkspace struct {
 	llrFlat  []float64
 	results  []BatchResult
 	order    []int
+	padded   []int // a padded group's lanes (see groupKernel)
 }
 
 // grow32 is growF for float32 slices.
@@ -220,10 +223,11 @@ func sentinelRow(row []float64) {
 // [numStates][lanes] plane row: subtract the lane's maximum unless the lane
 // is entirely sentinel. Full 4-lane groups run through the vector kernel on
 // AVX2 hardware (bit-identical; normalization is mode-independent
-// arithmetic, so both BCJR modes use it); the ragged tail — and non-AVX2
-// configurations in full — run the scalar passes with the per-lane maxima
-// staged in w.maxP. Per lane the comparison and subtraction order matches
-// the single-frame normalize exactly.
+// arithmetic, so both BCJR modes use it); a ragged tail — only MaxLog
+// groups have one there, since LogMAP groups are padded to the vector
+// width — and non-AVX2 configurations in full run the scalar passes with
+// the per-lane maxima staged in w.maxP. Per lane the comparison and
+// subtraction order matches the single-frame normalize exactly.
 func (w *BatchWorkspace) normalizeLanes(plane []float64, L int) {
 	lo := 0
 	if hasAVX512Jacobian {
@@ -262,6 +266,27 @@ func (w *BatchWorkspace) normalizeLanes(plane []float64, L int) {
 	}
 }
 
+// groupKernel picks how a group of L frames runs: log-MAP on AVX2 hardware
+// runs every lane on the vector kernels (the 8-lane AVX-512 ones when
+// present and L > 4), with L padded up to a multiple of the kernel width;
+// MaxLog and non-AVX2 hardware run all L lanes through the scalar walk.
+// Padding lanes decode copies of a real frame and their outputs are
+// discarded; lanes are independent, so padding cannot change a real lane's
+// bits. It pays at every ragged width BenchmarkDecodeBCJRWidth measures on
+// an AVX-512 Xeon: per frame, 1 → 4 lanes is 10–20 % faster, 2–3 → 4,
+// 5–7 → 8 and 12–13 → 16 are 2–3× faster, and 9 → 16 breaks even.
+func groupKernel(L int, mode BCJRMode) (width int, vec, wide bool) {
+	switch {
+	case mode != LogMAP:
+		return L, false, false
+	case hasAVX512Jacobian && L > 4:
+		return (L + 7) &^ 7, true, true
+	case hasFastJacobian:
+		return (L + 3) &^ 3, true, false
+	}
+	return L, false, false
+}
+
 // DecodeBCJRBatch decodes every job with the BCJR algorithm in lockstep and
 // returns one result per job, in job order. Outputs are bit-identical to
 // calling Workspace.DecodeBCJR per job. Results alias the workspace and are
@@ -277,132 +302,183 @@ func (w *BatchWorkspace) DecodeBCJRBatch(jobs []BatchJob, mode BCJRMode) []Batch
 	return w.results
 }
 
+// bcjrGroup is one lockstep BCJR group's geometry and kernel choice.
+type bcjrGroup struct {
+	L, rowSz  int
+	vec, wide bool // see groupKernel
+	mode      BCJRMode
+	nInfo     int
+	lanes     []int // the group's real jobs, lane l = lanes[l]
+}
+
+// decodeBCJRGroup decodes one equal-length group. The forward (α) and
+// backward (β) recursions advance together, one dual step per trellis step,
+// and meet in the middle: until they cross, each stores its rows (α for the
+// first half of the trellis, β for the second); after they cross, each
+// step's fresh row pairs with the other recursion's stored rows, so the APP
+// outputs are produced on the fly from small block buffers. The stored
+// planes cover half the trellis each, one trellis' worth in total.
 func (w *BatchWorkspace) decodeBCJRGroup(jobs []BatchJob, lanes []int, mode BCJRMode) {
+	g := bcjrGroup{lanes: lanes, mode: mode, nInfo: jobs[lanes[0]].NInfo}
+	var width int
+	width, g.vec, g.wide = groupKernel(len(lanes), mode)
+	if width > len(lanes) {
+		w.padded = append(w.padded[:0], lanes...)
+		for len(w.padded) < width {
+			w.padded = append(w.padded, lanes[0])
+		}
+		lanes = w.padded
+	}
 	L := len(lanes)
-	nInfo := jobs[lanes[0]].NInfo
-	steps := nInfo + TailBits
+	g.L, g.rowSz = L, numStates*L
+	steps := g.nInfo + TailBits
 	w.transposeLLRs(jobs, lanes, steps)
-	llrP := w.llrP
 	w.bmP = growF(w.bmP, 8*L)
-	bmF := w.bmP[0*L : 4*L : 4*L]
-	bmB := w.bmP[4*L : 8*L : 8*L]
 
-	rowSz := numStates * L
-	w.alphaP = growF(w.alphaP, (steps+1)*rowSz)
-	w.betaP = growF(w.betaP, (steps+1)*rowSz)
-	alphaP, betaP := w.alphaP, w.betaP
-
-	// Each recursion step runs as one whole-step table walk: the first nv
-	// lanes through the vector kernels (log-MAP on AVX2 hardware), the
-	// ragged tail — and the MaxLog / non-AVX2 configurations in full —
-	// through the scalar walk. Both rebuild every destination row, so no
-	// sentinel initialization pass is needed.
-	nv := 0
-	wide := false
-	if mode == LogMAP {
-		if hasAVX512Jacobian && L >= 8 {
-			nv = L &^ 7
-			wide = true
-		} else if hasFastJacobian {
-			nv = L &^ 3
-		}
+	// Plane layout, in rows of rowSz: α[0..half], β[steps-half..steps], and
+	// two appBlockT+1-row block buffers for the rows computed after the
+	// recursions cross. The old planes are dropped before a larger set is
+	// allocated, so a worker never holds two generations at once.
+	half := (steps + 1) / 2
+	rowSz := g.rowSz
+	need := (2*(half+1) + 2*(appBlockT+1)) * rowSz
+	if cap(w.planes) < need {
+		w.planes = nil
+		w.planes = make([]float64, need)
 	}
-	stride := L * 8
+	planes := w.planes[:need]
+	alphaP := planes[:(half+1)*rowSz]
+	betaP := planes[(half+1)*rowSz : 2*(half+1)*rowSz] // row r is β[steps-half+r]
+	fwdBlk := planes[2*(half+1)*rowSz : (2*(half+1)+appBlockT+1)*rowSz]
+	bwdBlk := planes[(2*(half+1)+appBlockT+1)*rowSz:]
+	row := func(p []float64, r int) []float64 { return p[r*rowSz : (r+1)*rowSz : (r+1)*rowSz] }
 
-	// Phase 1: the forward and backward recursions advance together, one
-	// dual-step call per iteration (forward step t, backward step
-	// steps-1-t). Each recursion's per-step work is a serial dependency, but
-	// the two recursions are independent of each other, so pairing them
-	// keeps twice as many Jacobian chains in the reorder window.
-	anchorRow(alphaP[:rowSz], L)
-	anchorRow(betaP[steps*rowSz:(steps+1)*rowSz], L)
-	for t := 0; t < steps; t++ {
-		tb := steps - 1 - t
-		stepBM(bmF, llrP, t, L)
-		stepBM(bmB, llrP, tb, L)
-		aCur := alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
-		aNxt := alphaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
-		bSrc := betaP[(tb+1)*rowSz : (tb+2)*rowSz : (tb+2)*rowSz]
-		bDst := betaP[tb*rowSz : (tb+1)*rowSz : (tb+1)*rowSz]
-		if nv > 0 {
-			var fixed uint64
-			if wide {
-				fixed = stepCombineDualAVX512(&aNxt[0], &aCur[0], &bmF[0], &bDst[0], &bSrc[0], &bmB[0],
-					&fwdStepTable[0], &bwdStepTable[0], &w.fixF[0], &w.fixB[0], nv, stride)
-			} else {
-				fixed = stepCombineDualAVX2(&aNxt[0], &aCur[0], &bmF[0], &bDst[0], &bSrc[0], &bmB[0],
-					&fwdStepTable[0], &bwdStepTable[0], &w.fixF[0], &w.fixB[0], nv, stride)
-			}
-			if fixed != 0 {
-				w.applyStepFixups(&w.fixF, aNxt, aCur, bmF, &fwdStepTable, L, mode)
-				w.applyStepFixups(&w.fixB, bDst, bSrc, bmB, &bwdStepTable, L, mode)
-			}
-		}
-		if nv < L {
-			stepCombineLanes(aNxt, aCur, bmF, &fwdStepTable, nv, L, L, mode)
-			stepCombineLanes(bDst, bSrc, bmB, &bwdStepTable, nv, L, L, mode)
-		}
-		w.normalizeLanes(aNxt, L)
-		w.normalizeLanes(bDst, L)
-	}
-
-	// Phase 2: APP accumulation in blocks of appBlockT trellis steps. Each
-	// step's maxStar fold is serial by construction (the fold order is
-	// observable in the output bits), but the steps are mutually
-	// independent, so the block kernel interleaves them and hides the chain
-	// latency.
 	w.bmBlk = growF(w.bmBlk, appBlockT*4*L)
 	w.numBlk = growF(w.numBlk, appBlockT*L)
 	w.denBlk = growF(w.denBlk, appBlockT*L)
-	recW := 9 // acc record: {den[4], num[4], fix}
-	if wide {
-		recW = 17 // {den[8], num[8], fix}
-	}
 	if cap(w.appAcc) < appBlockT*17 {
 		w.appAcc = make([]uint64, appBlockT*17)
 	}
 	w.appAcc = w.appAcc[:appBlockT*17]
+
+	// Phase 1: the first half steps of each recursion, storing every row.
+	// Each recursion's per-step work is a serial dependency, but the two
+	// recursions are independent of each other, so pairing them keeps twice
+	// as many Jacobian chains in the reorder window.
+	anchorRow(row(alphaP, 0), L)
+	anchorRow(row(betaP, half), L)
+	for i := 0; i < half; i++ {
+		w.dualStep(&g, row(alphaP, i+1), row(alphaP, i), row(betaP, half-i-1), row(betaP, half-i), i, steps-1-i)
+	}
+	// Steps whose α and β rows are both stored.
+	if lo, hi := max(0, steps-half-1), min(half, g.nInfo); lo < hi {
+		w.appBlock(&g, alphaP[lo*rowSz:], betaP[(lo+1-(steps-half))*rowSz:], lo, hi-lo)
+	}
+
+	// Phase 2: the remaining steps-half steps of each recursion. The forward
+	// block buffer holds α[t0..t0+n] (row 0 carried over from the previous
+	// block) and pairs with stored β; the backward buffer holds β rows
+	// top-down (row appBlockT is the carried-over source) and pairs with
+	// stored α. Steps with t >= nInfo decode tail bits and have no output.
+	copy(row(fwdBlk, 0), row(alphaP, half))
+	copy(row(bwdBlk, appBlockT), row(betaP, 0))
+	for i0 := 0; i0 < steps-half; i0 += appBlockT {
+		n := min(appBlockT, steps-half-i0)
+		t0 := half + i0              // first forward step of the block
+		tb0 := steps - half - 1 - i0 // first backward step of the block
+		for j := 0; j < n; j++ {
+			w.dualStep(&g, row(fwdBlk, j+1), row(fwdBlk, j), row(bwdBlk, appBlockT-1-j), row(bwdBlk, appBlockT-j), t0+j, tb0-j)
+		}
+		if ka := min(n, g.nInfo-t0); ka > 0 {
+			w.appBlock(&g, fwdBlk, betaP[(t0+1-(steps-half))*rowSz:], t0, ka)
+		}
+		// The backward block produced β[tb0-n+1..tb0], which serve the
+		// steps t in [tb0-n, tb0); β[0] serves none.
+		if lo, hi := max(0, tb0-n), min(tb0, g.nInfo); lo < hi {
+			w.appBlock(&g, alphaP[lo*rowSz:], bwdBlk[(appBlockT-tb0+lo)*rowSz:], lo, hi-lo)
+		}
+		copy(row(fwdBlk, 0), row(fwdBlk, n))
+		copy(row(bwdBlk, appBlockT), row(bwdBlk, appBlockT-n))
+	}
+}
+
+// dualStep runs forward step t (aCur → aNxt) and backward step tb
+// (bSrc → bDst), each with its branch metrics, then normalizes both rows.
+// Each step is one whole-step table walk, vector or scalar; both rebuild
+// every destination row, so no sentinel initialization pass is needed.
+func (w *BatchWorkspace) dualStep(g *bcjrGroup, aNxt, aCur, bDst, bSrc []float64, t, tb int) {
+	L := g.L
+	bmF := w.bmP[0*L : 4*L : 4*L]
+	bmB := w.bmP[4*L : 8*L : 8*L]
+	stepBM(bmF, w.llrP, t, L)
+	stepBM(bmB, w.llrP, tb, L)
+	if g.vec {
+		var fixed uint64
+		if g.wide {
+			fixed = stepCombineDualAVX512(&aNxt[0], &aCur[0], &bmF[0], &bDst[0], &bSrc[0], &bmB[0],
+				&fwdStepTable[0], &bwdStepTable[0], &w.fixF[0], &w.fixB[0], L, L*8)
+		} else {
+			fixed = stepCombineDualAVX2(&aNxt[0], &aCur[0], &bmF[0], &bDst[0], &bSrc[0], &bmB[0],
+				&fwdStepTable[0], &bwdStepTable[0], &w.fixF[0], &w.fixB[0], L, L*8)
+		}
+		if fixed != 0 {
+			w.applyStepFixups(&w.fixF, aNxt, aCur, bmF, &fwdStepTable, L, g.mode)
+			w.applyStepFixups(&w.fixB, bDst, bSrc, bmB, &bwdStepTable, L, g.mode)
+		}
+	} else {
+		stepCombineLanes(aNxt, aCur, bmF, &fwdStepTable, L, g.mode)
+		stepCombineLanes(bDst, bSrc, bmB, &bwdStepTable, L, g.mode)
+	}
+	w.normalizeLanes(aNxt, L)
+	w.normalizeLanes(bDst, L)
+}
+
+// appBlock computes the APP outputs of the ka (at most appBlockT)
+// consecutive steps t0.. into the group's results: alpha holds α[t0+j] at
+// row j and beta holds β[t0+j+1] at row j. Each step's maxStar fold is
+// serial by construction (the fold order is observable in the output
+// bits), but the steps are mutually independent, so the block kernel
+// interleaves them and hides the chain latency.
+func (w *BatchWorkspace) appBlock(g *bcjrGroup, alpha, beta []float64, t0, ka int) {
+	L, rowSz := g.L, g.rowSz
 	numBlk, denBlk := w.numBlk, w.denBlk
-	for t0 := 0; t0 < nInfo; t0 += appBlockT {
-		ka := appBlockT
-		if t0+ka > nInfo {
-			ka = nInfo - t0
+	for j := 0; j < ka; j++ {
+		stepBM(w.bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], w.llrP, t0+j, L)
+	}
+	recW := 9 // acc record: {den[4], num[4], fix}
+	if g.vec {
+		if g.wide {
+			recW = 17 // {den[8], num[8], fix}
+			stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alpha[0], &beta[0], &w.bmBlk[0], &appStepTable[0], &w.appAcc[0], L, L*8, ka)
+		} else {
+			stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &alpha[0], &beta[0], &w.bmBlk[0], &appStepTable[0], &w.appAcc[0], L, L*8, ka)
 		}
-		for j := 0; j < ka; j++ {
-			stepBM(w.bmBlk[j*4*L:(j+1)*4*L:(j+1)*4*L], llrP, t0+j, L)
+	}
+	for j := 0; j < ka; j++ {
+		t := t0 + j
+		at := alpha[j*rowSz : (j+1)*rowSz : (j+1)*rowSz]
+		bt := beta[j*rowSz : (j+1)*rowSz : (j+1)*rowSz]
+		bmj := w.bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
+		if g.vec {
+			mask := w.appAcc[j*recW+recW-1]
+			for mask != 0 {
+				l := bits.TrailingZeros64(mask)
+				mask &^= 1 << uint(l)
+				numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, g.mode)
+			}
+		} else {
+			for l := 0; l < L; l++ {
+				numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, g.mode)
+			}
 		}
-		if nv > 0 {
-			if wide {
-				stepAPPBlockAVX512(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &w.bmBlk[0], &appStepTable[0], &w.appAcc[0], nv, stride, ka)
+		for l, ji := range g.lanes {
+			r := &w.results[ji]
+			llr := numBlk[j*L+l] - denBlk[j*L+l]
+			r.LLR[t] = llr
+			if llr >= 0 {
+				r.Info[t] = 1
 			} else {
-				stepAPPBlockAVX2(&numBlk[0], &denBlk[0], &alphaP[t0*rowSz], &betaP[(t0+1)*rowSz], &w.bmBlk[0], &appStepTable[0], &w.appAcc[0], nv, stride, ka)
-			}
-		}
-		for j := 0; j < ka; j++ {
-			t := t0 + j
-			at := alphaP[t*rowSz : (t+1)*rowSz : (t+1)*rowSz]
-			bt := betaP[(t+1)*rowSz : (t+2)*rowSz : (t+2)*rowSz]
-			bmj := w.bmBlk[j*4*L : (j+1)*4*L : (j+1)*4*L]
-			if nv > 0 {
-				mask := w.appAcc[j*recW+recW-1]
-				for mask != 0 {
-					l := bits.TrailingZeros64(mask)
-					mask &^= 1 << uint(l)
-					numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
-				}
-			}
-			for l := nv; l < L; l++ {
-				numBlk[j*L+l], denBlk[j*L+l] = appLane(at, bt, bmj, L, l, mode)
-			}
-			for l, ji := range lanes {
-				r := &w.results[ji]
-				llr := numBlk[j*L+l] - denBlk[j*L+l]
-				r.LLR[t] = llr
-				if llr >= 0 {
-					r.Info[t] = 1
-				} else {
-					r.Info[t] = 0
-				}
+				r.Info[t] = 0
 			}
 		}
 	}

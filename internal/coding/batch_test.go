@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,20 +29,54 @@ func makeBatchJob(rng *rand.Rand, nInfoBytes int, rate CodeRate, sigma float64) 
 	return BatchJob{LLRs: DepunctureLLR(soft, rate, len(coded)), NInfo: nInfo}
 }
 
-// 12 lands between the vector widths: on AVX-512 hardware a 12-lane group
-// runs 8 lanes through the ZMM kernels, the next 4 through the AVX2
-// normalize, and the rest through the scalar tails.
+// 12 lands between the vector widths: on AVX-512 hardware a 12-lane MaxLog
+// group normalizes 8 lanes with the ZMM kernel and the next 4 with the AVX2
+// one, and a 12-lane log-MAP group is padded to 16.
 func batchSizes() []int { return []int{1, 2, 7, 12, 64} }
+
+// uniformWidths are the group widths the equivalence suite decodes as one
+// equal-length group each: every width up to 9 (a ragged log-MAP group is
+// padded to the vector width on AVX2/AVX-512 hardware) and a few past one
+// or more full vector groups.
+func uniformWidths() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 17, 63} }
+
+// checkBatchMatchesSingle decodes jobs through bw and requires every result
+// to be bit-identical to a fresh single-frame decode.
+func checkBatchMatchesSingle(t *testing.T, bw *BatchWorkspace, jobs []BatchJob, mode BCJRMode, label string) {
+	t.Helper()
+	got := bw.DecodeBCJRBatch(jobs, mode)
+	if len(got) != len(jobs) {
+		t.Fatalf("%s: got %d results", label, len(got))
+	}
+	for i, j := range jobs {
+		var sw Workspace
+		wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
+		if len(got[i].Info) != len(wantInfo) || len(got[i].LLR) != len(wantLLR) {
+			t.Fatalf("%s job=%d: length mismatch", label, i)
+		}
+		for k := range wantInfo {
+			if got[i].Info[k] != wantInfo[k] {
+				t.Fatalf("%s job=%d bit %d: info %d != %d", label, i, k, got[i].Info[k], wantInfo[k])
+			}
+			if !sameBits(got[i].LLR[k], wantLLR[k]) {
+				t.Fatalf("%s job=%d bit %d: llr %x != %x (%v vs %v)",
+					label, i, k, math.Float64bits(got[i].LLR[k]), math.Float64bits(wantLLR[k]), got[i].LLR[k], wantLLR[k])
+			}
+		}
+	}
+}
 
 // TestDecodeBCJRBatchMatchesSingle is the batch-vs-single equivalence
 // suite: every job in every batch must come out bit-identical to a fresh
-// single-frame decode, across batch sizes, modes, puncture patterns, mixed
-// frame lengths, and dirty-workspace reuse (one BatchWorkspace serves all
-// cases without reset).
+// single-frame decode, across batch sizes, group widths, modes, puncture
+// patterns, mixed frame lengths, and dirty-workspace reuse (one
+// BatchWorkspace serves all cases without reset, so every case after a
+// padded group decodes on the planes it left behind).
 func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var bw BatchWorkspace // reused across all subcases: dirty reuse is part of the contract
 	rates := []CodeRate{Rate12, Rate23, Rate34}
+	sigmas := []float64{0.2, 0.7, 1.5}
 	for _, mode := range []BCJRMode{LogMAP, MaxLog} {
 		for _, B := range batchSizes() {
 			jobs := make([]BatchJob, B)
@@ -54,30 +89,19 @@ func TestDecodeBCJRBatchMatchesSingle(t *testing.T) {
 				if B == 12 {
 					nBytes = 31
 				}
-				rate := rates[rng.Intn(len(rates))]
-				sigma := []float64{0.2, 0.7, 1.5}[rng.Intn(3)]
-				jobs[i] = makeBatchJob(rng, nBytes, rate, sigma)
+				jobs[i] = makeBatchJob(rng, nBytes, rates[rng.Intn(len(rates))], sigmas[rng.Intn(3)])
 			}
-			got := bw.DecodeBCJRBatch(jobs, mode)
-			if len(got) != B {
-				t.Fatalf("mode=%v B=%d: got %d results", mode, B, len(got))
+			checkBatchMatchesSingle(t, &bw, jobs, mode, fmt.Sprintf("mode=%v B=%d", mode, B))
+		}
+		// One equal-length group per width, the frame length varying from
+		// group to group so reuse meets both larger and smaller planes.
+		for _, W := range uniformWidths() {
+			nBytes := []int{3, 9, 26}[W%3]
+			jobs := make([]BatchJob, W)
+			for i := range jobs {
+				jobs[i] = makeBatchJob(rng, nBytes, rates[rng.Intn(len(rates))], sigmas[rng.Intn(3)])
 			}
-			for i, j := range jobs {
-				var sw Workspace
-				wantInfo, wantLLR := sw.DecodeBCJR(j.LLRs, j.NInfo, mode)
-				if len(got[i].Info) != len(wantInfo) || len(got[i].LLR) != len(wantLLR) {
-					t.Fatalf("mode=%v B=%d job=%d: length mismatch", mode, B, i)
-				}
-				for k := range wantInfo {
-					if got[i].Info[k] != wantInfo[k] {
-						t.Fatalf("mode=%v B=%d job=%d bit %d: info %d != %d", mode, B, i, k, got[i].Info[k], wantInfo[k])
-					}
-					if !sameBits(got[i].LLR[k], wantLLR[k]) {
-						t.Fatalf("mode=%v B=%d job=%d bit %d: llr %x != %x (%v vs %v)",
-							mode, B, i, k, math.Float64bits(got[i].LLR[k]), math.Float64bits(wantLLR[k]), got[i].LLR[k], wantLLR[k])
-					}
-				}
-			}
+			checkBatchMatchesSingle(t, &bw, jobs, mode, fmt.Sprintf("mode=%v width=%d", mode, W))
 		}
 	}
 }
@@ -176,7 +200,7 @@ func TestDecodeBatchQuantizedSanity(t *testing.T) {
 // allocation pin to warm batch workspaces at every batch size.
 func TestBatchDecodeDoesNotAllocateSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, B := range batchSizes() {
+	for _, B := range append(batchSizes(), 3, 5, 9) {
 		jobs := make([]BatchJob, B)
 		for i := range jobs {
 			jobs[i] = makeBatchJob(rng, 12, Rate12, 0.7)
@@ -285,4 +309,27 @@ func benchDecodeBatch(b *testing.B, B int) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*B)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkDecodeBCJRWidth times one uniform-length LogMAP group per
+// width, for choosing which ragged widths groupKernel pads.
+func BenchmarkDecodeBCJRWidth(b *testing.B) {
+	for _, nBytes := range []int{6, 484} {
+		for _, B := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13} {
+			b.Run(fmt.Sprintf("bytes=%d/w=%d", nBytes, B), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(3))
+				jobs := make([]BatchJob, B)
+				for i := range jobs {
+					jobs[i] = makeBatchJob(rng, nBytes, Rate12, 0.7)
+				}
+				var bw BatchWorkspace
+				bw.DecodeBCJRBatch(jobs, LogMAP)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bw.DecodeBCJRBatch(jobs, LogMAP)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*B), "ns/frame")
+			})
+		}
+	}
 }

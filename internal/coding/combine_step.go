@@ -80,14 +80,14 @@ func stepCombineEntry(ent []uint8, src, bm []float64, L, l int, mode BCJRMode) f
 	return x
 }
 
-// stepCombineLanes is the scalar whole-step combine for lanes [lo, hi): the
-// non-AVX2 fallback, the MaxLog path, and the ragged-tail lanes next to the
-// vector step kernel. Every destination row is fully written.
-func stepCombineLanes(dst, src, bm []float64, table *[512]uint8, lo, hi, L int, mode BCJRMode) {
+// stepCombineLanes is the scalar whole-step combine over all L lanes: the
+// non-AVX2 fallback and the MaxLog path. Every destination row is fully
+// written.
+func stepCombineLanes(dst, src, bm []float64, table *[512]uint8, L int, mode BCJRMode) {
 	for e := 0; e < numStates; e++ {
 		ent := table[e*8 : e*8+8]
 		drow := dst[int(ent[0])*L:]
-		for l := lo; l < hi; l++ {
+		for l := 0; l < L; l++ {
 			drow[l] = stepCombineEntry(ent, src, bm, L, l, mode)
 		}
 	}

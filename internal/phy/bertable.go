@@ -33,6 +33,13 @@ type BERModel struct {
 	// Lambda[rateIdx][k] is the error-event rate per info bit at
 	// SNRdB[k]; 0 means no frame errors were observed.
 	Lambda [][]float64
+
+	// logOnce guards logBER and logLambda: the natural logs of the BER and
+	// Lambda entries, floored as interp requires, computed on the first
+	// query. A model is read-only once queried (the tables are shared by
+	// every worker of an experiment), so the logs never go stale.
+	logOnce           sync.Once
+	logBER, logLambda [][]float64
 }
 
 // CalibrationConfig controls Calibrate.
@@ -280,40 +287,64 @@ func Calibrate(cc CalibrationConfig) *BERModel {
 	return m
 }
 
+// Interpolation bounds: BER clamps to [berFloor, berCeil] and λ to
+// [0, lambdaCeil].
+const (
+	berCeil, berFloor = 0.5, 1e-12
+	lambdaCeil        = 1e-2
+)
+
 // BERAt returns the interpolated post-decode BER for rate index ri at the
 // given instantaneous SNR. Interpolation is log-linear in BER over the dB
 // axis; beyond the grid it clamps to 0.5 below and extrapolates the final
 // slope above (floored at 1e-12).
 func (m *BERModel) BERAt(ri int, snrDB float64) float64 {
-	return m.interp(m.BER[ri], snrDB, 0.5, 1e-12)
+	m.logOnce.Do(m.buildLogs)
+	return m.interp(m.logBER[ri], snrDB, berCeil, berFloor)
 }
 
 // LambdaAt returns the interpolated error-event rate per info bit.
 func (m *BERModel) LambdaAt(ri int, snrDB float64) float64 {
-	return m.interp(m.Lambda[ri], snrDB, 1e-2, 0)
+	m.logOnce.Do(m.buildLogs)
+	return m.interp(m.logLambda[ri], snrDB, lambdaCeil, 0)
 }
 
-// interp interpolates log(v) linearly over the dB grid. Zeros in v are
-// treated as the floor value; results at or below the floor return floor.
-func (m *BERModel) interp(v []float64, snrDB, ceil, floor float64) float64 {
-	g := m.SNRdB
-	logv := func(i int) float64 {
-		x := v[i]
-		if x <= floor || x == 0 {
-			if floor == 0 {
-				return math.Inf(-1)
+// buildLogs fills logBER and logLambda. Zeros and values at or below the
+// floor take the floor's log; with a zero floor (λ) that is -Inf.
+func (m *BERModel) buildLogs() {
+	logs := func(rows [][]float64, floor float64) [][]float64 {
+		out := make([][]float64, len(rows))
+		for ri, v := range rows {
+			out[ri] = make([]float64, len(v))
+			for k, x := range v {
+				if x <= floor || x == 0 {
+					if floor == 0 {
+						out[ri][k] = math.Inf(-1)
+						continue
+					}
+					x = floor
+				}
+				out[ri][k] = math.Log(x)
 			}
-			x = floor
 		}
-		return math.Log(x)
+		return out
 	}
+	m.logBER = logs(m.BER, berFloor)
+	m.logLambda = logs(m.Lambda, 0)
+}
+
+// interp interpolates log(v) linearly over the dB grid, given logv, the
+// floored logs of v (see buildLogs). Results at or below the floor return
+// floor.
+func (m *BERModel) interp(logv []float64, snrDB, ceil, floor float64) float64 {
+	g := m.SNRdB
 	switch {
 	case snrDB <= g[0]:
 		return ceil
 	case snrDB >= g[len(g)-1]:
 		// Extrapolate with the slope of the last decade of grid.
 		n := len(g)
-		a, b := logv(n-6), logv(n-1)
+		a, b := logv[n-6], logv[n-1]
 		if math.IsInf(a, -1) || math.IsInf(b, -1) {
 			return floor
 		}
@@ -328,12 +359,18 @@ func (m *BERModel) interp(v []float64, snrDB, ceil, floor float64) float64 {
 		}
 		return val
 	}
-	// Binary-search-free scan (grids are small).
-	k := 0
-	for k+1 < len(g) && g[k+1] < snrDB {
-		k++
+	// The bracket is the smallest k with g[k+1] >= snrDB (at most n-2). The
+	// test is written as "not below" so a NaN input lands on k = 0.
+	k, hi := 0, len(g)-2
+	for k < hi {
+		mid := int(uint(k+hi) >> 1)
+		if !(g[mid+1] < snrDB) {
+			hi = mid
+		} else {
+			k = mid + 1
+		}
 	}
-	a, b := logv(k), logv(k+1)
+	a, b := logv[k], logv[k+1]
 	if math.IsInf(a, -1) && math.IsInf(b, -1) {
 		return floor
 	}
@@ -358,9 +395,11 @@ func (m *BERModel) interp(v []float64, snrDB, ceil, floor float64) float64 {
 // survives a sequence of per-symbol SNRs, each symbol carrying bitsPerSym
 // info bits: P = exp(-Σ λ(snr_j)·bits_j).
 func (m *BERModel) DeliverProb(ri int, snrsDB []float64, bitsPerSym float64) float64 {
+	m.logOnce.Do(m.buildLogs)
+	logv := m.logLambda[ri]
 	var lam float64
 	for _, s := range snrsDB {
-		lam += m.LambdaAt(ri, s) * bitsPerSym
+		lam += m.interp(logv, s, lambdaCeil, 0) * bitsPerSym
 	}
 	return math.Exp(-lam)
 }
@@ -371,9 +410,11 @@ func (m *BERModel) MeanBER(ri int, snrsDB []float64) float64 {
 	if len(snrsDB) == 0 {
 		return 0
 	}
+	m.logOnce.Do(m.buildLogs)
+	logv := m.logBER[ri]
 	var sum float64
 	for _, s := range snrsDB {
-		sum += m.BERAt(ri, s)
+		sum += m.interp(logv, s, berCeil, berFloor)
 	}
 	return sum / float64(len(snrsDB))
 }

@@ -123,11 +123,18 @@ func TestSlowClientEvicted(t *testing.T) {
 	// Write without ever reading until the server cuts us off. Our own
 	// sends start timing out once the server stops reading (its writes
 	// to us are stuck — the point); keep the socket open through those.
+	// A timed-out write may already have sent part of the frame, so the
+	// next write resumes at the byte it stopped at: starting a fresh frame
+	// would put a header mid-frame and get the connection dropped as a
+	// framing error instead of evicted.
 	evicted := false
+	off := 0
 	overall := time.Now().Add(10 * time.Second)
 	for time.Now().Before(overall) {
 		conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-		if _, err := conn.Write(frame); err != nil {
+		n, err := conn.Write(frame[off:])
+		off = (off + n) % len(frame)
+		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				continue
 			}
@@ -141,9 +148,12 @@ func TestSlowClientEvicted(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.Status().Transport.SlowClientsEvicted == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("eviction not counted in status")
+			t.Fatalf("eviction not counted in status: %+v", srv.Status().Transport)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if fe := srv.Status().Transport.FramingErrors; fe != 0 {
+		t.Fatalf("%d framing errors: the client's frames desynchronized, so the drop was not an eviction", fe)
 	}
 
 	// The server is still healthy for everyone else.

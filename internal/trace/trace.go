@@ -202,6 +202,15 @@ func (gc *GenConfig) fill() {
 // Generate builds a LinkTrace by sweeping the channel model across time
 // and querying the PHY calibration per rate — the software-radio trace
 // collection of Table 4, one level down.
+//
+// Every rate sees the same fading process at the same instants, so the
+// channel is sampled once per slot: the preamble samples, and the data
+// samples for the rate with the most symbols, of which each rate uses its
+// own prefix. The per-(rate, slot) mean BER and delivery probability are
+// computed from those shared samples first; a second, rate-major pass then
+// draws the randomness (BER jitter, the delivery draw when the preamble is
+// detected, SNR noise) in the historical per-rate order, so traces are
+// bit-identical to sampling each rate separately.
 func Generate(gc GenConfig) *LinkTrace {
 	gc.fill()
 	rng := rand.New(rand.NewSource(gc.Seed))
@@ -217,43 +226,65 @@ func Generate(gc GenConfig) *LinkTrace {
 	for s := range effJitter {
 		effJitter[s] = rng.NormFloat64() * gc.EffJitterDB
 	}
+	nRates := len(gc.Rates)
+	nSym := make([]int, nRates)
+	bitsPerSym := make([]float64, nRates)
+	maxSym := 0
 	for ri, r := range gc.Rates {
-		snaps := make([]Snapshot, nSlots)
-		nSym := gc.Mode.DataSymbols((lt.FrameBits+6)*2, r.Scheme) // rate-1/2 upper bound is fine for symbol count shape
-		// Use the precise symbol count for the punctured stream.
+		// Symbol count of the punctured coded stream.
 		num, den := r.Code.Fraction()
-		nSym = gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
-		bitsPerSym := float64(gc.Mode.InfoBitsPerSymbol(r))
-		for s := 0; s < nSlots; s++ {
-			t0 := float64(s) * gc.Interval
-			// Per-symbol SNR across the frame duration, preamble first.
-			preSNR := lt.sampleSNR(gc.Model, t0, T, ofdm.PreambleSymbols)
-			dataSNR := lt.sampleSNR(gc.Model, t0+float64(ofdm.PreambleSymbols)*T, T, nSym)
-			for j := range dataSNR {
-				dataSNR[j] += effJitter[s]
-			}
-			var preLin float64
-			for _, s := range preSNR {
-				preLin += channel.DBToLinear(s)
-			}
-			preLin /= float64(len(preSNR))
-			detected := preLin >= gc.DetectSINR
+		nSym[ri] = gc.Mode.DataSymbols((lt.FrameBits+6)*den/num, r.Scheme)
+		bitsPerSym[ri] = float64(gc.Mode.InfoBitsPerSymbol(r))
+		maxSym = max(maxSym, nSym[ri])
+	}
 
-			ber := gc.BERModel.MeanBER(ri, dataSNR)
-			ber *= math.Exp(rng.NormFloat64() * gc.BERJitter)
+	// Pass 1 (slot-major, no randomness): the channel at each symbol
+	// midpoint, preamble first, and what it implies for every rate.
+	preSNR := make([]float64, ofdm.PreambleSymbols)
+	dataSNR := make([]float64, maxSym)
+	detected := make([]bool, nSlots)
+	preDB := make([]float64, nSlots)
+	meanBER := make([]float64, nRates*nSlots) // [rate][slot]
+	deliverP := make([]float64, nRates*nSlots)
+	for s := 0; s < nSlots; s++ {
+		t0 := float64(s) * gc.Interval
+		sampleSNR(preSNR, gc.Model, t0, T)
+		sampleSNR(dataSNR, gc.Model, t0+float64(ofdm.PreambleSymbols)*T, T)
+		for j := range dataSNR {
+			dataSNR[j] += effJitter[s]
+		}
+		var preLin float64
+		for _, x := range preSNR {
+			preLin += channel.DBToLinear(x)
+		}
+		preLin /= float64(len(preSNR))
+		detected[s] = preLin >= gc.DetectSINR
+		preDB[s] = channel.LinearToDB(preLin)
+		for ri := range gc.Rates {
+			snrs := dataSNR[:nSym[ri]]
+			meanBER[ri*nSlots+s] = gc.BERModel.MeanBER(ri, snrs)
+			if detected[s] {
+				deliverP[ri*nSlots+s] = gc.BERModel.DeliverProb(ri, snrs, bitsPerSym[ri])
+			}
+		}
+	}
+
+	// Pass 2 (rate-major): the random draws, in generation order.
+	for ri := range gc.Rates {
+		snaps := make([]Snapshot, nSlots)
+		for s := range snaps {
+			ber := meanBER[ri*nSlots+s] * math.Exp(rng.NormFloat64()*gc.BERJitter)
 			if ber > 0.5 {
 				ber = 0.5
 			}
-			dp := gc.BERModel.DeliverProb(ri, dataSNR, bitsPerSym)
-			if !detected {
-				dp = 0
-			}
+			dp := deliverP[ri*nSlots+s]
+			delivered := detected[s] && rng.Float64() < dp
 			snaps[s] = Snapshot{
-				Detected:    detected,
-				Delivered:   detected && rng.Float64() < dp,
+				Detected:    detected[s],
+				Delivered:   delivered,
 				DeliverProb: dp,
 				BER:         ber,
-				SNRdB:       channel.LinearToDB(preLin) + rng.NormFloat64()*gc.SNRNoiseDB,
+				SNRdB:       preDB[s] + rng.NormFloat64()*gc.SNRNoiseDB,
 			}
 		}
 		lt.Snapshots = append(lt.Snapshots, snaps)
@@ -261,14 +292,12 @@ func Generate(gc GenConfig) *LinkTrace {
 	return lt
 }
 
-// sampleSNR evaluates the channel's instantaneous SNR (dB) at n symbol
-// midpoints starting at t0.
-func (lt *LinkTrace) sampleSNR(m *channel.Model, t0, T float64, n int) []float64 {
-	out := make([]float64, n)
-	for j := 0; j < n; j++ {
+// sampleSNR fills out with the channel's instantaneous SNR (dB) at
+// len(out) symbol midpoints starting at t0.
+func sampleSNR(out []float64, m *channel.Model, t0, T float64) {
+	for j := range out {
 		out[j] = channel.LinearToDB(m.SNR(t0 + (float64(j)+0.5)*T))
 	}
-	return out
 }
 
 // NewSynthetic builds a trace directly from per-rate snapshot series, for
