@@ -11,7 +11,10 @@ import (
 // compaction victim must fail the compaction cleanly — (false, err),
 // index untouched, every live record (including the victim's) still
 // readable with its latest state — and a later retry on a healed disk
-// must reclaim the segment.
+// must reclaim the segment. The background compactor is stopped before
+// arming, so every compaction attempt is the test's own: otherwise a kick
+// queued while the disk faulted can reclaim the segment between the heal
+// and the explicit retry, and the retry finds nothing to do.
 func TestCompactOnceVictimReadFault(t *testing.T) {
 	inj := faultfs.Wrap(faultfs.OS{}, 13, faultfs.Rates{ReadErr: 1})
 	inj.Arm(false)
@@ -36,9 +39,10 @@ func TestCompactOnceVictimReadFault(t *testing.T) {
 		t.Fatalf("need a sealed segment; got %d segments", st.Segments)
 	}
 
-	// Arm, then supersede ids from the sealed segment: the dead ratio
-	// crosses the threshold only now, so every compaction attempt —
-	// background or explicit — runs against the faulty disk.
+	// Stop the compactor, arm, then supersede ids from the sealed segment:
+	// the dead ratio crosses the threshold only now, so both compaction
+	// attempts below run where the test puts them.
+	stopCompactor(s)
 	inj.Arm(true)
 	super := make(map[uint64][]byte)
 	for id := uint64(1); id <= superseded; id++ {
@@ -79,4 +83,14 @@ func TestCompactOnceVictimReadFault(t *testing.T) {
 		t.Fatalf("CompactOnce retry on a healed disk: progressed=%v err=%v", progressed, err)
 	}
 	check("after successful compaction")
+}
+
+// stopCompactor stops s's background compactor and waits for it to exit;
+// compaction kicks then go unserved until the test calls CompactOnce.
+// Close still works afterwards: it closes the fresh stop channel and its
+// wait returns at once.
+func stopCompactor(s *Store) {
+	close(s.stopCh)
+	s.done.Wait()
+	s.stopCh = make(chan struct{})
 }

@@ -3,8 +3,8 @@
 // in-memory index. It exists so that resident memory tracks the *hot*
 // link population instead of the total one — at 10M+ links the RAM cost
 // of an idle link drops from its full archived state (up to ~1.7 KB for
-// SampleRate, plus map overhead) to one index entry (a 16-byte
-// linkID → location pair plus map overhead).
+// SampleRate) to one index entry (a 16-byte linkID → (algo, segment,
+// offset) pair plus map overhead).
 //
 // Design, in the spirit of every log-structured store:
 //
@@ -14,15 +14,18 @@
 //     syscall (group commit). Records are CRC-framed — [width u16,
 //     algo u8, linkID u64, state, crc32 over all of it] — so a torn
 //     tail is detectable.
-//   - Reads are single-shot. The index maps a link to (segment, offset);
-//     Take issues one pread of at most the largest record width and
-//     validates the CRC before handing the state back. A restored link's
-//     record becomes dead — the hot store owns the state again.
+//   - Reads are single-shot. The index maps a link to (algo, segment,
+//     offset); Take issues one pread of the widest record committed for
+//     that algorithm (not the widest of any algorithm: a 23-byte SoftRate
+//     record is not read as a 1.7 KB SampleRate one) and validates the
+//     width, link ID and CRC before handing the state back. A restored
+//     link's record becomes dead — the hot store owns the state again.
 //   - Segments rotate at a size threshold. Superseded and restored
 //     records make a segment's dead ratio grow; a background compactor
 //     rewrites any segment past Config.CompactRatio by re-appending its
 //     live records and deleting the file, so disk usage tracks the live
-//     population.
+//     population. Segment IDs are 24 bits (the index packs the algorithm
+//     beside them); rotating past 2^24 segments is an error.
 //   - Recovery is a scan. Open rebuilds the index by reading every
 //     segment in ID order (later segments supersede earlier ones, later
 //     offsets supersede earlier ones); the first CRC or framing failure
@@ -47,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"softrate/internal/bitutil"
 	"softrate/internal/faultfs"
 	"softrate/internal/obs"
 	"softrate/internal/stats"
@@ -68,6 +72,10 @@ const (
 	// the trailing CRC32.
 	recHeaderLen = 2 + 1 + 8
 	recOverhead  = recHeaderLen + 4
+
+	// maxSegments bounds segment IDs: the index packs a record's
+	// location as [algo u8][segment u24][offset u32].
+	maxSegments = 1 << 24
 
 	// maxStateLen bounds a record's state width: anything larger in a
 	// segment is corruption, not a controller snapshot (the widest
@@ -143,14 +151,15 @@ type Store struct {
 	segs    map[uint32]*segment
 	active  *segment
 	nextSeg uint32
-	// index maps linkID → (segment ID << 32 | byte offset). A Go map of
-	// two uint64s costs ~16 payload bytes per link plus bucket overhead
-	// — the whole point of the tier: this is all an idle link keeps in
-	// RAM.
+	// index maps linkID → pack(algo, segment ID, byte offset). A Go map
+	// of two uint64s costs ~16 payload bytes per link plus bucket
+	// overhead — the whole point of the tier: this is all an idle link
+	// keeps in RAM.
 	index map[uint64]uint64
-	// maxRec is the largest committed record length; Take preads this
-	// much so a restore is one syscall regardless of the record's width.
-	maxRec int64
+	// maxRec is the largest committed record length per algorithm; Take
+	// preads the indexed algorithm's entry, so a restore is one syscall
+	// sized to its own kind of record.
+	maxRec [256]int64
 	// perAlgo counts live indexed links per algorithm ID.
 	perAlgo [256]int64
 
@@ -169,8 +178,16 @@ type Store struct {
 	closed    bool
 }
 
-func pack(seg uint32, off int64) uint64   { return uint64(seg)<<32 | uint64(uint32(off)) }
-func unpack(v uint64) (uint32, int64)     { return uint32(v >> 32), int64(v & 0xffffffff) }
+// pack and unpack convert a record location to and from its index value:
+// [algo u8][segment u24][offset u32].
+func pack(algo uint8, seg uint32, off int64) uint64 {
+	return uint64(algo)<<56 | uint64(seg)<<32 | uint64(uint32(off))
+}
+
+func unpack(v uint64) (algo uint8, seg uint32, off int64) {
+	return uint8(v >> 56), uint32(v>>32) & (maxSegments - 1), int64(uint32(v))
+}
+
 func segName(id uint32) string            { return fmt.Sprintf("seg-%08d.slog", id) }
 func (s *Store) segPath(id uint32) string { return filepath.Join(s.cfg.Dir, segName(id)) }
 
@@ -223,6 +240,9 @@ func (s *Store) recover() error {
 	for _, name := range names {
 		var id uint32
 		if n, _ := fmt.Sscanf(name, "seg-%08d.slog", &id); n == 1 && name == segName(id) {
+			if id >= maxSegments {
+				return fmt.Errorf("coldstore: %s: segment ID beyond the %d-segment bound", s.segPath(id), maxSegments)
+			}
 			ids = append(ids, id)
 		}
 	}
@@ -320,7 +340,7 @@ func (s *Store) scanSegment(sg *segment) error {
 		}
 		n := recOverhead + w
 		want := binary.LittleEndian.Uint32(rec[n-4 : n])
-		if crc32IEEE(rec[:n-4]) != want {
+		if bitutil.CRC32(rec[:n-4]) != want {
 			break // torn: partial write inside the frame
 		}
 		algo := rec[2]
@@ -344,7 +364,7 @@ func (s *Store) scanSegment(sg *segment) error {
 // marking any superseded record dead in its segment.
 func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off, n int64) {
 	if old, ok := s.index[id]; ok {
-		oldSeg, oldOff := unpack(old)
+		_, oldSeg, oldOff := unpack(old)
 		if osg := s.segs[oldSeg]; osg != nil {
 			s.markDead(osg, oldOff)
 		} else if oldSeg == sg.id {
@@ -353,11 +373,11 @@ func (s *Store) indexPut(id uint64, algo uint8, sg *segment, off, n int64) {
 	} else {
 		s.perAlgo[algo]++
 	}
-	s.index[id] = pack(sg.id, off)
+	s.index[id] = pack(algo, sg.id, off)
 	sg.liveBytes += n
 	sg.liveRecs++
-	if n > s.maxRec {
-		s.maxRec = n
+	if n > s.maxRec[algo] {
+		s.maxRec[algo] = n
 	}
 }
 
@@ -380,11 +400,17 @@ func (s *Store) markDeadN(sg *segment, n int64) {
 	sg.deadBytes += n
 	sg.liveRecs--
 	sg.deadRecs++
+	s.maybeKickCompactLocked(sg)
 }
 
-// rotateLocked seals the active segment and starts a new one.
+// rotateLocked seals the active segment and starts a new one. Segment IDs
+// are bounded by maxSegments; past it, rotation fails rather than wrap
+// into an ID the index would confuse with a live segment.
 func (s *Store) rotateLocked() error {
 	id := s.nextSeg
+	if id >= maxSegments {
+		return fmt.Errorf("coldstore: segment ID %d is beyond the %d-segment bound", id, maxSegments)
+	}
 	f, err := s.fs.Create(s.segPath(id))
 	if err != nil {
 		return err
@@ -397,7 +423,11 @@ func (s *Store) rotateLocked() error {
 	}
 	s.nextSeg++
 	s.segs[id] = sg
+	sealed := s.active
 	s.active = sg
+	if sealed != nil {
+		s.maybeKickCompactLocked(sealed)
+	}
 	return nil
 }
 
@@ -410,7 +440,7 @@ func appendRecord(buf []byte, r Record) []byte {
 	binary.LittleEndian.PutUint64(hdr[3:11], r.LinkID)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, r.State...)
-	crc := crc32IEEE(buf[start:])
+	crc := bitutil.CRC32(buf[start:])
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc)
 	return append(buf, tail[:]...)
@@ -433,7 +463,6 @@ func (s *Store) PutBatch(recs []Record) error {
 		return err
 	}
 	s.spills += uint64(len(recs))
-	s.maybeKickCompactLocked()
 	return nil
 }
 
@@ -475,20 +504,22 @@ func (s *Store) putLocked(recs []Record) error {
 	return nil
 }
 
-// readRecord preads and validates the record for id. Returns the algo
+// readRecord preads and validates the record for id: one read sized to
+// the widest record committed for the indexed algorithm, then the width,
+// algorithm, link ID and CRC checks. Returns the record's segment, algo
 // and a view of the state inside s.readBuf (valid until the next call;
 // caller holds s.mu).
-func (s *Store) readRecord(id uint64) (uint8, []byte, bool, error) {
+func (s *Store) readRecord(id uint64) (*segment, uint8, []byte, bool, error) {
 	ref, ok := s.index[id]
 	if !ok {
-		return 0, nil, false, nil
+		return nil, 0, nil, false, nil
 	}
-	segID, off := unpack(ref)
+	algo, segID, off := unpack(ref)
 	sg := s.segs[segID]
 	if sg == nil {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d indexed in missing segment %d", id, segID)
+		return nil, 0, nil, false, fmt.Errorf("coldstore: link %d indexed in missing segment %d", id, segID)
 	}
-	n := s.maxRec
+	n := s.maxRec[algo]
 	if rem := sg.size - off; n > rem {
 		n = rem
 	}
@@ -497,23 +528,26 @@ func (s *Store) readRecord(id uint64) (uint8, []byte, bool, error) {
 	}
 	buf := s.readBuf[:n]
 	if _, err := sg.f.ReadAt(buf, off); err != nil {
-		return 0, nil, false, err
+		return nil, 0, nil, false, err
 	}
 	if len(buf) < recOverhead {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d record truncated", id)
+		return nil, 0, nil, false, fmt.Errorf("coldstore: link %d record truncated", id)
 	}
 	w := int(binary.LittleEndian.Uint16(buf[0:2]))
 	if recOverhead+w > len(buf) {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d record overruns its segment", id)
+		return nil, 0, nil, false, fmt.Errorf("coldstore: link %d record overruns its read", id)
 	}
 	rec := buf[:recOverhead+w]
+	if rec[2] != algo {
+		return nil, 0, nil, false, fmt.Errorf("coldstore: link %d indexed as algo %d, record holds algo %d", id, algo, rec[2])
+	}
 	if got := binary.LittleEndian.Uint64(rec[3:11]); got != id {
-		return 0, nil, false, fmt.Errorf("coldstore: index for link %d points at link %d", id, got)
+		return nil, 0, nil, false, fmt.Errorf("coldstore: index for link %d points at link %d", id, got)
 	}
-	if crc32IEEE(rec[:len(rec)-4]) != binary.LittleEndian.Uint32(rec[len(rec)-4:]) {
-		return 0, nil, false, fmt.Errorf("coldstore: link %d record failed its CRC", id)
+	if bitutil.CRC32(rec[:len(rec)-4]) != binary.LittleEndian.Uint32(rec[len(rec)-4:]) {
+		return nil, 0, nil, false, fmt.Errorf("coldstore: link %d record failed its CRC", id)
 	}
-	return rec[2], rec[recHeaderLen : recHeaderLen+w], true, nil
+	return sg, algo, rec[recHeaderLen : recHeaderLen+w], true, nil
 }
 
 // Take restores one link: a single pread, CRC validation, and removal
@@ -523,18 +557,16 @@ func (s *Store) readRecord(id uint64) (uint8, []byte, bool, error) {
 func (s *Store) Take(id uint64, dst []byte) (algo uint8, state []byte, ok bool, err error) {
 	t0 := time.Now()
 	s.mu.Lock()
-	a, view, ok, err := s.readRecord(id)
+	sg, a, view, ok, err := s.readRecord(id)
 	if err != nil || !ok {
 		s.mu.Unlock()
 		return 0, nil, false, err
 	}
 	dst = append(dst, view...)
-	segID, _ := unpack(s.index[id])
 	delete(s.index, id)
 	s.perAlgo[a]--
-	s.markDeadN(s.segs[segID], int64(recOverhead+len(view)))
 	s.restores++
-	s.maybeKickCompactLocked()
+	s.markDeadN(sg, int64(recOverhead+len(view)))
 	s.mu.Unlock()
 	s.restoreLat.Observe(time.Since(t0))
 	return a, dst, true, nil
@@ -545,7 +577,7 @@ func (s *Store) Take(id uint64, dst []byte) (algo uint8, state []byte, ok bool, 
 func (s *Store) Peek(id uint64, dst []byte) (algo uint8, state []byte, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, view, ok, err := s.readRecord(id)
+	_, a, view, ok, err := s.readRecord(id)
 	if err != nil || !ok {
 		return 0, nil, false, err
 	}
@@ -567,14 +599,13 @@ func (s *Store) kickCompact() {
 	}
 }
 
-// maybeKickCompactLocked kicks the compactor if any sealed segment is
-// past the dead-ratio threshold.
-func (s *Store) maybeKickCompactLocked() {
-	for _, sg := range s.segs {
-		if sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio) {
-			s.kickCompact()
-			return
-		}
+// maybeKickCompactLocked kicks the compactor if sg is sealed and past the
+// dead-ratio threshold. A segment only becomes compactable when its dead
+// bytes grow (markDeadN) or when it is sealed (rotateLocked), so those two
+// call it for the one segment that changed.
+func (s *Store) maybeKickCompactLocked(sg *segment) {
+	if sg != s.active && (sg.liveRecs == 0 || sg.deadRatio() >= s.compactRatio) {
+		s.kickCompact()
 	}
 }
 
@@ -638,7 +669,7 @@ func (s *Store) CompactOnce() (bool, error) {
 			n := recOverhead + w
 			id := binary.LittleEndian.Uint64(rec[3:11])
 			if ref, ok := s.index[id]; ok {
-				if segID, recOff := unpack(ref); segID == victim.id && recOff == off {
+				if _, segID, recOff := unpack(ref); segID == victim.id && recOff == off {
 					live = append(live, Record{LinkID: id, Algo: rec[2], State: rec[recHeaderLen : recHeaderLen+w]})
 					liveOffs = append(liveOffs, off)
 					// Drop the index entry so putLocked re-adding it does
@@ -656,7 +687,7 @@ func (s *Store) CompactOnce() (bool, error) {
 			// records at the victim so no state is lost. The segment
 			// survives until a later compaction retries.
 			for i, r := range live {
-				s.index[r.LinkID] = pack(victim.id, liveOffs[i])
+				s.index[r.LinkID] = pack(r.Algo, victim.id, liveOffs[i])
 				s.perAlgo[r.Algo]++
 			}
 			return false, err

@@ -3,9 +3,13 @@ package coldstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+
+	"softrate/internal/faultfs"
 )
 
 func openT(t *testing.T, dir string, cfg Config) *Store {
@@ -459,4 +463,158 @@ func FuzzSegmentRecovery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// goldenRecords is the fixed batch behind goldenSegment: four algorithms,
+// widths 8 to 24, and link IDs that use all eight bytes.
+func goldenRecords() []Record {
+	return []Record{
+		{LinkID: 1, Algo: 1, State: stateFor(1, 8)},
+		{LinkID: 0x0123456789abcdef, Algo: 4, State: stateFor(0x0123456789abcdef, 20)},
+		{LinkID: 7, Algo: 2, State: stateFor(7, 24)},
+		{LinkID: 1 << 40, Algo: 3, State: stateFor(1<<40, 12)},
+	}
+}
+
+// goldenSegment is segment 0 after one PutBatch(goldenRecords()): the
+// "SRCS" v1 header, then [width u16][algo u8][linkID u64][state][crc32]
+// per record, all little-endian. It was written by the byte-wise table
+// CRC this package framed records with before it switched to hash/crc32,
+// so it is also a segment in the previous writer's format.
+const goldenSegment = "" +
+	"534352530100000008000101000000000000000100000000000000a68ecd3614" +
+	"0004efcdab8967452301efcdab8967452301078a0d901396199c1fa225a8673d" +
+	"c3bb180002070000000000000007000000000000001fa225a82bae31b437ba3d" +
+	"c043c649ccac7cf1c30c000300000000000100000000000000010000189b1ea1" +
+	"8e10ac07"
+
+// TestSegmentFormatGolden pins the on-disk record format, CRCs included:
+// a fixed batch must produce exactly goldenSegment, and a directory
+// holding goldenSegment must reopen with every record intact.
+func TestSegmentFormatGolden(t *testing.T) {
+	want, err := hex.DecodeString(goldenSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := openT(t, dir, Config{})
+	if err := s.PutBatch(goldenRecords()); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment bytes\n got %x\nwant %x", got, want)
+	}
+
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, segName(0)), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, old, Config{})
+	if st := r.Stats(); st.Links != 4 || st.TornTails != 0 {
+		t.Fatalf("reopened golden segment: %+v", st)
+	}
+	for _, rec := range goldenRecords() {
+		algo, state, ok, err := r.Take(rec.LinkID, nil)
+		if err != nil || !ok || algo != rec.Algo || !bytes.Equal(state, rec.State) {
+			t.Fatalf("Take(%#x) = algo %d state %x ok=%v err=%v, want algo %d state %x",
+				rec.LinkID, algo, state, ok, err, rec.Algo, rec.State)
+		}
+	}
+}
+
+// readCountFS counts the bytes read through every file it opens.
+type readCountFS struct {
+	faultfs.OS
+	read *atomic.Int64
+}
+
+type readCountFile struct {
+	faultfs.File
+	read *atomic.Int64
+}
+
+func (f readCountFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.read.Add(int64(n))
+	return n, err
+}
+
+func (c readCountFS) Open(path string) (faultfs.File, error) {
+	f, err := c.OS.Open(path)
+	return readCountFile{f, c.read}, err
+}
+
+func (c readCountFS) Create(path string) (faultfs.File, error) {
+	f, err := c.OS.Create(path)
+	return readCountFile{f, c.read}, err
+}
+
+// TestTakeReadsItsOwnAlgorithmWidth: a restore preads the widest record
+// of its own algorithm, not of the widest algorithm in the tier — a
+// narrow record sitting before a 1.7 KB one costs a narrow read.
+func TestTakeReadsItsOwnAlgorithmWidth(t *testing.T) {
+	var read atomic.Int64
+	s := openT(t, t.TempDir(), Config{FS: readCountFS{read: &read}})
+	narrow := Record{LinkID: 1, Algo: 1, State: stateFor(1, 8)}
+	wide := Record{LinkID: 2, Algo: 2, State: stateFor(2, 1668)}
+	if err := s.PutBatch([]Record{narrow, wide}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{narrow, wide} {
+		read.Store(0)
+		algo, state, ok, err := s.Take(rec.LinkID, nil)
+		if err != nil || !ok || algo != rec.Algo || !bytes.Equal(state, rec.State) {
+			t.Fatalf("Take(%d): algo %d ok=%v err=%v", rec.LinkID, algo, ok, err)
+		}
+		if want := int64(recOverhead + len(rec.State)); read.Load() != want {
+			t.Fatalf("Take(%d) read %d bytes, want %d", rec.LinkID, read.Load(), want)
+		}
+	}
+}
+
+// TestSegmentIDBound: the index packs segment IDs into 24 bits, so
+// rotating past the last one fails the batch (which stays unindexed)
+// instead of wrapping onto segment 0, and Open refuses a directory
+// holding an ID past the bound.
+func TestSegmentIDBound(t *testing.T) {
+	for _, v := range [][3]uint64{{0, 0, 0}, {255, maxSegments - 1, 1<<32 - 1}, {7, 12345, 99}} {
+		algo, seg, off := unpack(pack(uint8(v[0]), uint32(v[1]), int64(v[2])))
+		if uint64(algo) != v[0] || uint64(seg) != v[1] || uint64(off) != v[2] {
+			t.Fatalf("unpack(pack(%v)) = %d, %d, %d", v, algo, seg, off)
+		}
+	}
+
+	s := openT(t, t.TempDir(), Config{SegmentBytes: 64})
+	putOne(t, s, 1, 1, stateFor(1, 64)) // fills segment 0
+	s.mu.Lock()
+	s.nextSeg = maxSegments - 1
+	s.mu.Unlock()
+	putOne(t, s, 2, 1, stateFor(2, 64)) // rotates onto the last ID and fills it
+	if err := s.PutBatch([]Record{{LinkID: 3, Algo: 1, State: stateFor(3, 64)}}); err == nil {
+		t.Fatal("rotation past the last segment ID succeeded")
+	}
+	if _, _, ok, _ := s.Peek(3, nil); ok {
+		t.Fatal("the batch that failed to rotate was indexed")
+	}
+	for id := uint64(1); id <= 2; id++ {
+		if _, state, ok, err := s.Peek(id, nil); err != nil || !ok || !bytes.Equal(state, stateFor(id, 64)) {
+			t.Fatalf("Peek(%d) after the refused rotation: ok=%v err=%v", id, ok, err)
+		}
+	}
+
+	dir := t.TempDir()
+	hdr, _ := hex.DecodeString(goldenSegment[:2*headerLen])
+	if err := os.WriteFile(filepath.Join(dir, segName(maxSegments)), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: dir}); err == nil {
+		t.Fatal("Open accepted a segment ID past the bound")
+	}
 }

@@ -1,7 +1,10 @@
 package linkstore
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -316,5 +319,112 @@ func TestColdPeekReachesDisk(t *testing.T) {
 	// Peek must not have restored it.
 	if cold.Len() == 0 {
 		t.Fatal("Peek drained the cold tier")
+	}
+}
+
+// TestSpillBytesReproducible: the same op stream, with evictions,
+// archive-generation rotations, spills and disk restores, must leave
+// byte-identical segment files, because every spill writes its
+// generation in table-slot order. The default 64 MiB segment size keeps
+// everything in the active segment, which the compactor never rewrites,
+// so the background compactor cannot perturb the bytes.
+func TestSpillBytesReproducible(t *testing.T) {
+	run := func(dir string) map[string][]byte {
+		clk := &fakeClock{}
+		cold, err := coldstore.Open(coldstore.Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("coldstore.Open: %v", err)
+		}
+		defer cold.Close()
+		st := New(Config{Shards: 4, TTL: 10 * time.Millisecond, Clock: clk.Now, Cold: cold, ColdFront: 64})
+		specs := ctl.Specs()
+		rng := rand.New(rand.NewSource(7))
+		for step := 0; step < 6000; step++ {
+			id := rng.Intn(400)
+			st.Apply(Op{
+				LinkID:    uint64(id) + 1,
+				Algo:      specs[id%len(specs)].ID,
+				Kind:      core.FeedbackKind(rng.Intn(int(core.NumKinds))),
+				RateIndex: int32(rng.Intn(6)),
+				BER:       rng.Float64() * 0.01,
+				SNRdB:     float32(rng.Float64()*30 - 2),
+				Delivered: rng.Intn(3) > 0,
+			})
+			clk.Advance(time.Millisecond)
+		}
+		s := st.Stats()
+		if s.ColdErrors != 0 || s.Cold.Spills == 0 || s.Cold.Restores == 0 || s.Evictions == 0 {
+			t.Fatalf("stream did not churn through the disk tier: %+v cold %+v", s.ShardStats, s.Cold)
+		}
+		if _, err := st.SpillAll(); err != nil {
+			t.Fatalf("SpillAll: %v", err)
+		}
+		if err := cold.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = b
+		}
+		return files
+	}
+	a, b := run(t.TempDir()), run(t.TempDir())
+	if len(a) != 1 || len(b) != 1 {
+		t.Fatalf("want one segment per store, got %d and %d", len(a), len(b))
+	}
+	for name, da := range a {
+		db, ok := b[name]
+		if !ok {
+			t.Fatalf("segment %s missing from the second store", name)
+		}
+		if !bytes.Equal(da, db) {
+			i := 0
+			for i < len(da) && i < len(db) && da[i] == db[i] {
+				i++
+			}
+			t.Fatalf("segment %s differs at byte %d (%d vs %d bytes)", name, i, len(da), len(db))
+		}
+	}
+}
+
+// TestSpillAllWithoutTTL: a store without a TTL starts its archive
+// tables with no slots; a drain must still move every link, wide and
+// inline, to disk with its exact state, and the links must come back.
+func TestSpillAllWithoutTTL(t *testing.T) {
+	cold := openCold(t, t.TempDir())
+	defer cold.Close()
+	st := New(Config{Shards: 4, Cold: cold})
+	specs := ctl.Specs()
+	const nLinks = 40
+	before := make([][]byte, nLinks)
+	for i := 0; i < nLinks; i++ {
+		id := uint64(i) + 1
+		st.Apply(Op{LinkID: id, Algo: specs[i%len(specs)].ID, Kind: core.KindBER, RateIndex: 3, BER: 1e-3, Delivered: true})
+		_, before[i], _ = st.Peek(id)
+	}
+	if n, err := st.SpillAll(); err != nil || n != nLinks {
+		t.Fatalf("SpillAll = %d, %v; want %d links", n, err, nLinks)
+	}
+	if s := st.Stats(); s.Live != 0 || s.Archived != 0 || s.Cold.Links != nLinks {
+		t.Fatalf("after SpillAll: live %d archived %d cold %d", s.Live, s.Archived, s.Cold.Links)
+	}
+	for i := 0; i < nLinks; i++ {
+		id := uint64(i) + 1
+		algo, state, ok := st.Peek(id)
+		if !ok || algo != specs[i%len(specs)].ID || !bytes.Equal(state, before[i]) {
+			t.Fatalf("link %d after SpillAll: algo %d ok %v, state changed", id, algo, ok)
+		}
+		st.Apply(Op{LinkID: id, Kind: core.KindBER, RateIndex: 3, BER: 1e-3, Delivered: true})
+	}
+	if s := st.Stats(); s.Restores != nLinks || s.Live != nLinks {
+		t.Fatalf("links did not come back from disk: restores %d live %d", s.Restores, s.Live)
 	}
 }

@@ -8,8 +8,9 @@ import (
 // minIndexSlots is the smallest table a shard starts with.
 const minIndexSlots = 8
 
-// index is one shard's hot-link table: open addressing with linear
-// probing over a power-of-two array of 24-byte slots, at most 3/4 full.
+// index is one of a shard's link tables — the hot table, or a RAM-archive
+// generation: open addressing with linear probing over a power-of-two
+// array of 24-byte slots, at most 3/4 full.
 // A link's probe starts at the bitutil.Mix64 bits above the shard mask —
 // the bits the shard pick leaves unused — so the hash the router already
 // computed serves both. An empty slot is one whose entry has algo ==
@@ -17,7 +18,9 @@ const minIndexSlots = 8
 // algorithm at creation), so the table needs no tombstones and no
 // occupancy bitmap: deletion shifts the rest of the cluster back instead.
 // Layout depends only on the sequence of inserts and deletes, so a walk
-// in slot order — the sweep's eviction order — is reproducible.
+// in slot order — the sweep's eviction order, and a spill's record order —
+// is reproducible. A table with no slots (index{shift: s}) is empty and
+// allocates on its first insert; find must not be called on it.
 type index struct {
 	slots []slot
 	mask  uint64 // len(slots) - 1
@@ -58,6 +61,25 @@ func (ix *index) find(id, h uint64) *entry {
 	}
 }
 
+// take removes link id (hash h) from the table and returns its entry, or
+// false when the link is not in the table.
+func (ix *index) take(id, h uint64) (entry, bool) {
+	if ix.n == 0 { // also covers a table with no slots
+		return entry{}, false
+	}
+	for i := ix.home(h); ; i = (i + 1) & ix.mask {
+		s := &ix.slots[i]
+		if s.empty() {
+			return entry{}, false
+		}
+		if s.id == id {
+			e := s.e
+			ix.removeAt(i)
+			return e, true
+		}
+	}
+}
+
 // insert adds link id, which must be absent, and returns its entry in
 // place. The pointer is valid until the next insert.
 func (ix *index) insert(id, h uint64, e entry) *entry {
@@ -78,10 +100,11 @@ func (ix *index) place(id, h uint64, e entry) *entry {
 	return &ix.slots[i].e
 }
 
-// grow doubles the table, re-placing entries in slot order.
+// grow doubles the table (or allocates the smallest one), re-placing
+// entries in slot order.
 func (ix *index) grow() {
 	old := ix.slots
-	ix.slots = make([]slot, 2*len(old))
+	ix.slots = make([]slot, max(2*len(old), minIndexSlots))
 	ix.mask = uint64(len(ix.slots) - 1)
 	for k := range old {
 		if s := &old[k]; !s.empty() {

@@ -194,6 +194,19 @@ func TestIndexMatchesMap(t *testing.T) {
 			t.Fatalf("1000 links in %d slots, want 2048 (3/4 max load)", len(ix.slots))
 		}
 	})
+	t.Run("no slots", func(t *testing.T) {
+		// An archive table of a store without a TTL starts with no slots.
+		ix := index{shift: shift}
+		id := idWithHome(shift, minIndexSlots, 3, 1)
+		if _, ok := ix.take(id, bitutil.Mix64(id)); ok {
+			t.Fatal("take found a link in a table with no slots")
+		}
+		ix.insert(id, bitutil.Mix64(id), testEntry(1))
+		if len(ix.slots) != minIndexSlots {
+			t.Fatalf("first insert allocated %d slots, want %d", len(ix.slots), minIndexSlots)
+		}
+		checkIndex(t, &ix, map[uint64]entry{id: testEntry(1)})
+	})
 	t.Run("presize", func(t *testing.T) {
 		for _, tc := range []struct{ hint, slots int }{{0, 8}, {6, 8}, {7, 16}, {12, 16}, {13, 32}, {1000, 2048}} {
 			if got := len(newIndex(0, tc.hint).slots); got != tc.slots {
@@ -203,12 +216,16 @@ func TestIndexMatchesMap(t *testing.T) {
 	})
 }
 
-// FuzzIndex drives inserts, lookups and deletes of a small pool of links
-// that collide in and wrap around the end of a small table, checking the
-// table against a map after every step.
+// FuzzIndex drives a shard's three tables — the hot table and two
+// archive generations — over a small pool of links that collide in and
+// wrap around the end of a small table: inserts, lookups and deletes on
+// the hot table, evictions and revivals that move entries between tables,
+// and generation rotations. Every table is checked against a map after
+// every step.
 func FuzzIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 1, 1, 2, 0, 4})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 2, 0, 2, 3})
+	f.Add([]byte{0, 1, 0, 2, 0, 5, 3, 1, 3, 5, 5, 0, 3, 2, 4, 1, 5, 0, 4, 5, 4, 2, 1, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		const shift = 1
 		var pool [16]uint64
@@ -217,36 +234,68 @@ func FuzzIndex(f *testing.F) {
 			// spread the pool again once the table grows.
 			pool[k] = idWithHome(shift, minIndexSlots, uint64(5+k%4)%minIndexSlots, uint64(k/4+1))
 		}
-		ix := newIndex(shift, 0)
-		ref := map[uint64]entry{}
+		const hot, cur, old = 0, 1, 2
+		tabs := [3]index{newIndex(shift, 0), newIndex(shift, 0), newIndex(shift, 0)}
+		refs := [3]map[uint64]entry{{}, {}, {}}
+		// move takes id from table src, as eviction and revival do, and
+		// inserts it into dst; it reports whether id was in src.
+		move := func(id uint64, src, dst int) bool {
+			want, ok := refs[src][id]
+			e, got := tabs[src].take(id, bitutil.Mix64(id))
+			if got != ok || (ok && e != want) {
+				t.Fatalf("take(%#x) from table %d = %+v %v, want %+v %v", id, src, e, got, want, ok)
+			}
+			if ok {
+				delete(refs[src], id)
+				tabs[dst].insert(id, bitutil.Mix64(id), e)
+				refs[dst][id] = e
+			}
+			return ok
+		}
 		for p := 0; p+1 < len(prog); p += 2 {
 			k := int(prog[p+1]) % len(pool)
 			id := pool[k]
-			switch prog[p] % 3 {
-			case 0:
-				if _, ok := ref[id]; !ok {
+			switch prog[p] % 6 {
+			case 0: // create: a link lives in at most one table
+				_, h := refs[hot][id]
+				_, c := refs[cur][id]
+				_, o := refs[old][id]
+				if !h && !c && !o {
 					e := testEntry(p)
-					ix.insert(id, bitutil.Mix64(id), e)
-					ref[id] = e
+					tabs[hot].insert(id, bitutil.Mix64(id), e)
+					refs[hot][id] = e
 				}
 			case 1:
-				want, ok := ref[id]
-				e := ix.find(id, bitutil.Mix64(id))
+				want, ok := refs[hot][id]
+				e := tabs[hot].find(id, bitutil.Mix64(id))
 				if ok != (e != nil) || (ok && *e != want) {
 					t.Fatalf("find(%#x) = %v, want %+v (present %v)", id, e, want, ok)
 				}
 				if e != nil {
 					e.lastUsed++ // in-place update, as the hot path does
 					want.lastUsed++
-					ref[id] = want
+					refs[hot][id] = want
 				}
 			case 2:
-				if i, ok := slotOf(&ix, id); ok {
-					ix.removeAt(i)
-					delete(ref, id)
+				if i, ok := slotOf(&tabs[hot], id); ok {
+					tabs[hot].removeAt(i)
+					delete(refs[hot], id)
 				}
+			case 3: // evict
+				move(id, hot, cur)
+			case 4: // revive, current generation first
+				if !move(id, cur, hot) {
+					move(id, old, hot)
+				}
+			case 5: // rotate: the old generation is spilled and reused
+				tabs[old].reset()
+				clear(refs[old])
+				tabs[cur], tabs[old] = tabs[old], tabs[cur]
+				refs[cur], refs[old] = refs[old], refs[cur]
 			}
-			checkIndex(t, &ix, ref)
+			for i := range tabs {
+				checkIndex(t, &tabs[i], refs[i])
+			}
 		}
 	})
 }
@@ -292,7 +341,7 @@ func TestSweepWrappedClusterInterleaved(t *testing.T) {
 		t.Fatalf("after sweep: live %d archived %d evictions %d, want 3/3/3", s.Live, s.Archived, s.Evictions)
 	}
 	for k, id := range ids {
-		_, archived := sh.archive[id]
+		archived := sh.archive.find(id, bitutil.Mix64(id)) != nil
 		hot := sh.links.find(id, bitutil.Mix64(id)) != nil
 		if archived != expired[k] || hot == expired[k] {
 			t.Fatalf("link %d: archived %v hot %v, want expired=%v", k, archived, hot, expired[k])

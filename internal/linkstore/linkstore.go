@@ -17,16 +17,19 @@
 //     link's lifetime, including across eviction and restore. One store
 //     serves any per-link mix of the registered §6.1 algorithms.
 //   - Links are created lazily on first touch and evicted after a
-//     configurable idle TTL. Evicted state moves to a per-shard archive
-//     (linkID → encoded state, no stamp), so a link that comes back after
-//     an idle period resumes exactly where it left off — eviction is
-//     invisible to the protocol, it only sheds hot-table bookkeeping.
+//     configurable idle TTL. Evicted entries move to a per-shard archive
+//     table with the hot table's layout — the state stays inline in the
+//     entry or in its slab slot, so neither eviction nor revival copies
+//     or allocates — and a link that comes back after an idle period
+//     resumes exactly where it left off: eviction is invisible to the
+//     protocol, it only sheds hot-table bookkeeping.
 //   - With Config.Cold the archive becomes a small bounded front of two
 //     generations: recently evicted links restore from RAM, and when the
 //     current generation fills, the older one is spilled wholesale to the
-//     disk tier in one group-committed batch (internal/coldstore). A
-//     returning link is looked up front-first, then restored from disk
-//     with a single read. Because spill and restore carry the same
+//     disk tier in one group-committed batch (internal/coldstore), in slot
+//     order, so segment bytes depend only on the op sequence. A returning
+//     link is looked up front-first, then restored from disk with a
+//     single read. Because spill and restore carry the same
 //     encoded state bytes the RAM archive does, decisions stay
 //     byte-identical across evict → spill → restore — resident memory is
 //     then bounded by the hot set + front + cold index instead of the
@@ -40,7 +43,8 @@
 //   - Each shard's hot links live in an open-addressed table (index.go)
 //     probed with the same bitutil.Mix64 hash that picked the shard, so a
 //     batch hashes each op once and a hit is updated in place in its
-//     24-byte slot.
+//     24-byte slot. The archive generations are tables of the same kind,
+//     probed with the same hash on a miss.
 //   - Within a shard visit, contiguous ops for one link are serviced as a
 //     run: one lookup and one state materialization for the run, and
 //     wide-state algorithms that implement ctl.InPlace (SampleRate) are
@@ -261,23 +265,6 @@ type entry struct {
 func (e *entry) slot() uint32     { return binary.LittleEndian.Uint32(e.state[0:4]) }
 func (e *entry) setSlot(v uint32) { binary.LittleEndian.PutUint32(e.state[0:4], v) }
 
-// archInline is the largest encoded state archived without a heap
-// allocation (covers SoftRate's 8 bytes and both SNR schemes' 20).
-const archInline = 24
-
-type archived struct {
-	spill  []byte
-	inline [archInline]byte
-	algo   ctl.Algo
-}
-
-func (a *archived) state(w int) []byte {
-	if w <= archInline {
-		return a.inline[:w]
-	}
-	return a.spill
-}
-
 // slab is one shard's state storage for one algorithm: fixed-width slots
 // in a flat byte array with a free list.
 type slab struct {
@@ -330,24 +317,19 @@ type algoCounters struct {
 
 type shard struct {
 	mu sync.Mutex
-	// links is the hot table; archive the RAM tier of evicted state. With
-	// a cold tier, archive is the current front generation and archiveOld
-	// the previous one: a filled current generation rotates, spilling
-	// archiveOld to disk in one batch (archiveOld stays nil without a
-	// cold tier, and lookups of a nil map are free).
+	// links is the hot table; archive the RAM tier of evicted entries,
+	// with the same layout: an archived entry keeps its inline state or
+	// its slab slot. With a cold tier, archive is the current front
+	// generation and archiveOld the previous one: a filled current
+	// generation rotates, spilling archiveOld to disk in one batch
+	// (archiveOld stays empty without a cold tier).
 	links      index
-	archive    map[uint64]archived
-	archiveOld map[uint64]archived
-	// spillBuf/spillRecs are the rotation scratch: one flat byte buffer
-	// holding every spilled state (archived values are copied out of the
-	// map iteration variable, whose inline array is reused) and the
-	// record headers pointing into it.
-	spillBuf  []byte
-	spillRecs []coldstore.Record
-	spillOffs []int
-	coldBuf   []byte           // Take destination, reused
-	slabs     []slab           // indexed by algo ID
-	scratch   []ctl.Controller // indexed by algo ID, built lazily
+	archive    index
+	archiveOld index
+	spillRecs  []coldstore.Record // rotation scratch: one spill batch
+	coldBuf    []byte             // Take destination, reused
+	slabs      []slab             // indexed by algo ID
+	scratch    []ctl.Controller   // indexed by algo ID, built lazily
 	// soft caches the unwrapped core controller of any *ctl.SoftRate
 	// scratch: the overwhelmingly common algorithm skips the interface
 	// round trip (DecodeState/Apply/EncodeState collapse to two uint32
@@ -484,8 +466,17 @@ func New(cfg Config) *Store {
 		// Without a cold tier the archive only fills under TTL churn and
 		// rarely holds the whole population; an eighth of the hot-table hint
 		// avoids doubling the up-front footprint while still skipping the
-		// early rehashes. With one, it is presized to its generation cap.
-		st.shards[i].archive = make(map[uint64]archived, archSize)
+		// early rehashes. With one, both generations are presized to their
+		// cap. A store without a TTL archives only in SpillAll, so its
+		// tables start with no slots.
+		st.shards[i].archive = index{shift: shift}
+		st.shards[i].archiveOld = index{shift: shift}
+		if st.ttl > 0 {
+			st.shards[i].archive = newIndex(shift, archSize)
+			if st.cold != nil {
+				st.shards[i].archiveOld = newIndex(shift, archSize)
+			}
+		}
 		st.shards[i].slabs = make([]slab, nAlgos)
 		st.shards[i].scratch = make([]ctl.Controller, nAlgos)
 		st.shards[i].soft = make([]*core.SoftRate, nAlgos)
@@ -548,19 +539,17 @@ func (sh *shard) scratchFor(st *Store, a ctl.Algo) ctl.Controller {
 	return c
 }
 
-// createLocked builds the entry for a link absent from the hot table:
-// revived from either RAM-archive generation or the cold tier (keeping
-// its original algorithm), or created fresh with the op's. Caller holds
-// sh.mu.
-func (sh *shard) createLocked(st *Store, id uint64, algo ctl.Algo) entry {
+// createLocked builds the entry for a link absent from the hot table
+// (h = bitutil.Mix64(id)): revived from either RAM-archive generation or
+// the cold tier (keeping its original algorithm), or created fresh with
+// the op's. Caller holds sh.mu.
+func (sh *shard) createLocked(st *Store, id, h uint64, algo ctl.Algo) entry {
 	if !st.cfg.DropOnEvict {
-		if a, ok := sh.archive[id]; ok {
-			delete(sh.archive, id)
-			return sh.reviveLocked(st, a)
+		if e, ok := sh.archive.take(id, h); ok {
+			return sh.reviveLocked(st, e)
 		}
-		if a, ok := sh.archiveOld[id]; ok {
-			delete(sh.archiveOld, id)
-			return sh.reviveLocked(st, a)
+		if e, ok := sh.archiveOld.take(id, h); ok {
+			return sh.reviveLocked(st, e)
 		}
 		if st.cold != nil {
 			if e, ok := sh.coldRestoreLocked(st, id); ok {
@@ -583,23 +572,16 @@ func (sh *shard) createLocked(st *Store, id uint64, algo ctl.Algo) entry {
 	return e
 }
 
-// reviveLocked turns a RAM-archived state back into a hot entry. Caller
-// holds sh.mu and has removed a from its generation map.
-func (sh *shard) reviveLocked(st *Store, a archived) entry {
-	w := st.widths[a.algo]
-	e := entry{algo: a.algo}
-	if w <= inlineState {
-		copy(e.state[:w], a.state(w))
-	} else {
-		slot := sh.slabs[a.algo].alloc(w, st.slabReserve)
-		e.setSlot(slot)
-		copy(sh.slabs[a.algo].at(slot, w), a.state(w))
-	}
+// reviveLocked accounts a RAM-archived entry's return to the hot table:
+// its state is still inline or in its slab slot, so nothing is copied.
+// Caller holds sh.mu and has taken e out of its generation.
+func (sh *shard) reviveLocked(st *Store, e entry) entry {
 	sh.stats.Restores++
-	sh.perAlgo[a.algo].restores++
-	sh.perAlgo[a.algo].archived--
-	sh.perAlgo[a.algo].archivedBytes -= int64(w)
-	sh.perAlgo[a.algo].live++
+	c := &sh.perAlgo[e.algo]
+	c.restores++
+	c.archived--
+	c.archivedBytes -= int64(st.widths[e.algo])
+	c.live++
 	return e
 }
 
@@ -673,7 +655,7 @@ func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, h uint64, out 
 	if e != nil {
 		sh.stats.Hits += uint64(len(run))
 	} else {
-		e = sh.links.insert(id, h, sh.createLocked(st, id, st.resolveAlgo(ops[run[0]].Algo)))
+		e = sh.links.insert(id, h, sh.createLocked(st, id, h, st.resolveAlgo(ops[run[0]].Algo)))
 		// Later ops of a creating run find the link hot, exactly as the
 		// op-at-a-time accounting would report.
 		sh.stats.Hits += uint64(len(run) - 1)
@@ -743,32 +725,40 @@ func (sh *shard) applyRunLocked(st *Store, ops []Op, run []int32, h uint64, out 
 	e.lastUsed = nowTick
 }
 
-// archiveLocked moves one hot entry's state into the RAM archive's
-// current generation and frees its slab slot. Caller holds sh.mu and
-// removes the entry from sh.links itself.
+// archiveLocked moves one hot entry into the RAM archive's current
+// generation; a wide state keeps its slab slot. With DropOnEvict the
+// entry is discarded and its slab slot freed instead. Caller holds sh.mu
+// and removes the entry from sh.links itself.
 func (sh *shard) archiveLocked(st *Store, id uint64, e entry) {
 	w := st.widths[e.algo]
-	if !st.cfg.DropOnEvict {
-		a := archived{algo: e.algo}
-		if w > 0 {
-			if w > archInline {
-				a.spill = make([]byte, w)
-			}
-			if w <= inlineState {
-				copy(a.state(w), e.state[:w])
-			} else {
-				copy(a.state(w), sh.slabs[e.algo].at(e.slot(), w))
-			}
-		}
-		sh.archive[id] = a
-		sh.perAlgo[e.algo].archived++
-		sh.perAlgo[e.algo].archivedBytes += int64(w)
+	c := &sh.perAlgo[e.algo]
+	if st.cfg.DropOnEvict {
+		sh.freeLocked(st, e)
+	} else {
+		sh.archive.insert(id, bitutil.Mix64(id), e)
+		c.archived++
+		c.archivedBytes += int64(w)
 	}
-	if w > inlineState {
+	c.evictions++
+	c.live--
+}
+
+// freeLocked returns a wide entry's slab slot to its free list. Caller
+// holds sh.mu.
+func (sh *shard) freeLocked(st *Store, e entry) {
+	if st.widths[e.algo] > inlineState {
 		sh.slabs[e.algo].free = append(sh.slabs[e.algo].free, e.slot())
 	}
-	sh.perAlgo[e.algo].evictions++
-	sh.perAlgo[e.algo].live--
+}
+
+// stateOf returns a view of an entry's encoded state: inline, or in its
+// slab slot. Caller holds sh.mu.
+func (sh *shard) stateOf(st *Store, e *entry) []byte {
+	w := st.widths[e.algo]
+	if w <= inlineState {
+		return e.state[:w]
+	}
+	return sh.slabs[e.algo].at(e.slot(), w)
 }
 
 // sweepLocked evicts idle links, walking the table in slot order so the
@@ -797,7 +787,7 @@ func (sh *shard) sweepLocked(st *Store, now int64) int {
 	// indefinitely. The loop runs at most twice per sweep in practice
 	// (spill old, swap the burst into old, spill it too).
 	for st.genCap > 0 &&
-		(len(sh.archive) >= st.genCap || len(sh.archive)+len(sh.archiveOld) > 2*st.genCap) {
+		(sh.archive.n >= st.genCap || sh.archive.n+sh.archiveOld.n > 2*st.genCap) {
 		if !sh.rotateArchiveLocked(st, now) {
 			break // spill error or open breaker: keep both generations in RAM
 		}
@@ -864,14 +854,14 @@ func (st *Store) ColdDegraded() bool {
 
 // rotateArchiveLocked ages the archive one generation: the old
 // generation is spilled to the cold tier in one group-committed batch
-// and its (emptied) map becomes the new current generation. On a spill
+// and its (emptied) table becomes the new current generation. On a spill
 // error both generations stay in RAM — nothing is lost, the rotation
 // retries at the next sweep — and the rotation reports failure. While
 // the breaker is open the spill isn't even attempted (beyond one
 // backoff-paced probe): the store has formally degraded to the
 // unbounded RAM archive. Caller holds sh.mu.
 func (sh *shard) rotateArchiveLocked(st *Store, now int64) bool {
-	if len(sh.archiveOld) > 0 {
+	if sh.archiveOld.n > 0 {
 		allowed, probe := st.coldSpillAllowed(now)
 		if !allowed {
 			return false
@@ -880,55 +870,46 @@ func (sh *shard) rotateArchiveLocked(st *Store, now int64) bool {
 			st.spillRetries.Add(1)
 		}
 	}
-	if err := sh.spillGenLocked(st, sh.archiveOld); err != nil {
+	if err := sh.spillGenLocked(st, &sh.archiveOld); err != nil {
 		return false
 	}
-	old := sh.archiveOld
-	if old == nil {
-		old = make(map[uint64]archived, st.genCap)
-	}
-	sh.archiveOld = sh.archive
-	sh.archive = old
+	sh.archive, sh.archiveOld = sh.archiveOld, sh.archive
 	return true
 }
 
-// spillGenLocked writes every record of one archive generation to the
-// cold tier in a single batch and empties the generation. The states are
-// first copied into one flat reusable buffer: map iteration yields
-// archived values whose inline array lives in the (reused) loop
-// variable, so records must not point into it — and the flat layout is
-// exactly what the cold tier's group commit serializes anyway. Caller
-// holds sh.mu.
-func (sh *shard) spillGenLocked(st *Store, gen map[uint64]archived) error {
-	if len(gen) == 0 {
+// spillGenLocked writes every entry of one archive generation to the
+// cold tier in a single batch, in slot order, and empties the generation.
+// The records point straight at the entries' inline states and slab
+// slots, which nothing moves while sh.mu is held; the slab slots are
+// freed only once the batch is committed, so a failed spill leaves the
+// generation intact. Caller holds sh.mu.
+func (sh *shard) spillGenLocked(st *Store, gen *index) error {
+	if gen.n == 0 {
 		return nil
 	}
 	recs := sh.spillRecs[:0]
-	offs := sh.spillOffs[:0]
-	buf := sh.spillBuf[:0]
-	for id, a := range gen {
-		offs = append(offs, len(buf))
-		buf = append(buf, a.state(st.widths[a.algo])...)
-		recs = append(recs, coldstore.Record{LinkID: id, Algo: uint8(a.algo)})
-	}
-	// buf may have reallocated while filling; point the records at the
-	// final backing array only now.
-	for i := range recs {
-		w := st.widths[recs[i].Algo]
-		recs[i].State = buf[offs[i] : offs[i]+w]
+	for i := range gen.slots {
+		if s := &gen.slots[i]; !s.empty() {
+			recs = append(recs, coldstore.Record{LinkID: s.id, Algo: uint8(s.e.algo), State: sh.stateOf(st, &s.e)})
+		}
 	}
 	err := st.cold.PutBatch(recs)
-	sh.spillBuf, sh.spillRecs, sh.spillOffs = buf[:0], recs[:0], offs[:0]
+	clear(recs) // the scratch must not keep a grown-away table or slab alive
+	sh.spillRecs = recs[:0]
 	st.coldSpillResult(err)
 	if err != nil {
 		st.coldSpillErrors.Add(1)
 		return err
 	}
-	for _, a := range gen {
-		sh.perAlgo[a.algo].archived--
-		sh.perAlgo[a.algo].archivedBytes -= int64(st.widths[a.algo])
+	for i := range gen.slots {
+		if s := &gen.slots[i]; !s.empty() {
+			sh.freeLocked(st, s.e)
+			c := &sh.perAlgo[s.e.algo]
+			c.archived--
+			c.archivedBytes -= int64(st.widths[s.e.algo])
+		}
 	}
-	clear(gen)
+	gen.reset()
 	return nil
 }
 
@@ -1088,27 +1069,13 @@ func (st *Store) Peek(id uint64) (ctl.Algo, []byte, bool) {
 	sh, h := st.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.links.find(id, h); e != nil {
-		w := st.widths[e.algo]
-		out := make([]byte, w)
-		if w <= inlineState {
-			copy(out, e.state[:w])
-		} else {
-			copy(out, sh.slabs[e.algo].at(e.slot(), w))
+	for _, ix := range [...]*index{&sh.links, &sh.archive, &sh.archiveOld} {
+		if ix.n == 0 {
+			continue // an archive table may have no slots
 		}
-		return e.algo, out, true
-	}
-	if a, ok := sh.archive[id]; ok {
-		w := st.widths[a.algo]
-		out := make([]byte, w)
-		copy(out, a.state(w))
-		return a.algo, out, true
-	}
-	if a, ok := sh.archiveOld[id]; ok {
-		w := st.widths[a.algo]
-		out := make([]byte, w)
-		copy(out, a.state(w))
-		return a.algo, out, true
+		if e := ix.find(id, h); e != nil {
+			return e.algo, append([]byte(nil), sh.stateOf(st, e)...), true
+		}
 	}
 	if st.cold != nil {
 		if algoB, state, ok, err := st.cold.Peek(id, nil); err == nil && ok {
@@ -1147,10 +1114,10 @@ func (st *Store) SpillAll() (int, error) {
 			}
 		}
 		sh.links.reset()
-		n := len(sh.archive) + len(sh.archiveOld)
-		err := sh.spillGenLocked(st, sh.archiveOld)
+		n := sh.archive.n + sh.archiveOld.n
+		err := sh.spillGenLocked(st, &sh.archiveOld)
 		if err == nil {
-			err = sh.spillGenLocked(st, sh.archive)
+			err = sh.spillGenLocked(st, &sh.archive)
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
@@ -1202,7 +1169,7 @@ func (st *Store) Stats() Stats {
 		sh.mu.Lock()
 		s := sh.stats
 		s.Live = sh.links.n
-		s.Archived = len(sh.archive) + len(sh.archiveOld)
+		s.Archived = sh.archive.n + sh.archiveOld.n
 		for a := range sh.perAlgo {
 			c := &sh.perAlgo[a]
 			perAlgo[a].creates += c.creates
@@ -1254,7 +1221,7 @@ func (st *Store) PerShard() []ShardStats {
 		sh.mu.Lock()
 		out[i] = sh.stats
 		out[i].Live = sh.links.n
-		out[i].Archived = len(sh.archive) + len(sh.archiveOld)
+		out[i].Archived = sh.archive.n + sh.archiveOld.n
 		for a := range sh.perAlgo {
 			out[i].ArchivedBytes += sh.perAlgo[a].archivedBytes
 		}

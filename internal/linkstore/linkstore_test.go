@@ -432,3 +432,36 @@ func TestWarmApplyBatchZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestEvictReviveWideZeroAlloc pins eviction and revival of wide-state
+// links at zero allocations: an evicted SampleRate entry moves to the
+// archive table keeping its slab slot, and revival moves it back, so no
+// ~1.7 KB state is copied or allocated either way.
+func TestEvictReviveWideZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race")
+	}
+	const nLinks, ttl = 256, 10 * time.Millisecond
+	clk := &fakeClock{}
+	st := New(Config{Shards: 4, TTL: ttl, Clock: clk.Now, ExpectedLinks: nLinks})
+	all := benchOps(ctl.AlgoSampleRate, nLinks)
+	out := make([]int32, len(all[0]))
+	evicted := 0
+	cycle := func() {
+		for _, ops := range all {
+			st.ApplyBatch(ops, out) // create, then revive from the archive
+		}
+		clk.Advance(2 * ttl)
+		evicted = st.EvictIdle()
+	}
+	cycle() // warm: create every link and grow the archive tables
+	before := st.Stats()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("evict + revive cycle allocated %.1f times, want 0", n)
+	}
+	after := st.Stats()
+	if evicted != nLinks || after.Restores-before.Restores != 21*nLinks || after.Creates != before.Creates {
+		t.Fatalf("cycles did not evict and revive every link: evicted %d, %+v then %+v",
+			evicted, before.ShardStats, after.ShardStats)
+	}
+}
